@@ -1,8 +1,10 @@
 """Fibonacci and Lucas periods modulo m.
 
 The period h(m) is computed by composition: factor m, find h(p) for each
-prime by searching the divisors of its class bound (p - 1 or 2p + 2), lift
-to prime powers as p^(e-1) h(p) with a verification guard, and take the lcm.
+prime as the order of the pair (0, 1) by dividing primes out of its class
+bound (p - 1 or 2p + 2), find h(p^e) the same way from p^(e-1) h(p), and
+take the lcm.  The Lucas period is the order of (2, 1), divided down from
+h(m).
 A brute-force oracle and range scans over the global bounds (h(m) <= 6m and
 friends) keep the fast paths honest.
 """

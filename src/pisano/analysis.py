@@ -239,7 +239,7 @@ def ratio_scan(limit: int, emit=None, *, workers: int = 1,
     equality: list[int] = []
     guard_count = 0
     for m in range(1, limit + 1):
-        period, escalations, method = _pisano_value(m, seed)
+        period, escalations, method = _pisano_value(_factor_pairs(m, seed))
         if period > 6 * m:
             raise ClaimViolationError(
                 f"6m bound violated: h({m}) = {period} > {6 * m}",
@@ -280,13 +280,10 @@ def irreducible_product_scan(limit: int, emit=None, *,
     checked = 0
     best_num, best_den, best_at = 0, 1, 0
     for m in range(1, limit + 1):
-        if m == 1:
-            pairs = []
-        else:
-            pairs = _factor_pairs(m, seed)
+        pairs = _factor_pairs(m, seed)
         if not all(p != 2 and p % 5 in (2, 3) for p, _ in pairs):
             continue
-        period, _, method = _pisano_value(m, seed)
+        period, _, method = _pisano_value(pairs)
         if 4 * m - period <= 0:
             raise ClaimViolationError(
                 f"irreducible-product bound violated: h({m}) = {period} >= {4 * m}",
@@ -364,7 +361,7 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None) -> WallScan
         raise DomainError("divisor_limit cannot exceed limit")
     periods = [0] * (limit + 1)
     for m in range(1, limit + 1):
-        periods[m] = _pisano_value(m)[0]
+        periods[m] = _pisano_value(_factor_pairs(m))[0]
 
     parity_violations = [(m, periods[m]) for m in range(3, limit + 1)
                          if periods[m] % 2]

@@ -67,9 +67,9 @@ class ResiduePair:
 class PeriodResult:
     """A computed period with provenance.
 
-    ``lift_escalations`` counts how often the prime-power verification guard
-    had to multiply a candidate back up; it stays 0 unless the unproven
-    h(p^2) = h(p) contingency ever materializes.
+    ``lift_escalations`` counts the factors of p the prime-power lift divided
+    out of p^(e-1) h(p); it stays 0 unless h(p^2) = h(p) for some p | m,
+    which would make p a Wall-Sun-Sun prime (none is known).
     """
 
     modulus: int

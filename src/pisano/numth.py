@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .errors import DomainError, PeriodOverflowError
 
 U64_MAX = 2**64 - 1
-# Moduli are capped so that periods (at most 6m) still fit in 64 bits
-# for every modulus a scan can reach.
+# Periods are at most 6m, so they fit in 64 bits for m <= U64_MAX // 6 but
+# not always above: h(10 p) = lcm(60, 2p + 2) > U64_MAX for the prime
+# p = 922337203685477263.  Such periods raise PeriodOverflowError.
 MODULUS_MAX = 2**63 - 1
 
 
@@ -169,7 +170,8 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 
 def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs for n >= 2; trial division then rho."""
+    """Sorted (prime, exponent) pairs for n >= 1 (none for 1); trial
+    division then rho."""
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:

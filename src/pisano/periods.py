@@ -1,9 +1,10 @@
 """Fast computation of the Fibonacci period h(m) for arbitrary m.
 
-Strategy: classify each prime by its residue mod 5, search the divisors of
-the class bound (2p+2 for p = +-2 mod 5, p-1 for p = +-1 mod 5) for the
-least one the pair test confirms, lift to prime powers with a verification
-guard, and compose over the factorization by lcm.
+Strategy: the times at which a pair returns under the Fibonacci step form
+a subgroup h*Z, so h is found by dividing each prime out of a known multiple
+while the pair still returns.  The multiple is the class bound for a prime
+(2p+2 for p = +-2 mod 5, p-1 for p = +-1 mod 5), p^(e-1) h(p) for a prime
+power, and h(m) for the Lucas pair; prime powers compose by lcm.
 
 Caches are plain dicts of immutable values: concurrent writers can only
 store identical entries, so the functions stay thread-safe.
@@ -14,15 +15,15 @@ from __future__ import annotations
 import enum
 
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
-from .fibmod import (
+# Unused divisors and lucas_brute_period stay: bench/tracer.py wraps them here.
+from .fibmod import (  # noqa: F401
     Method,
     PeriodResult,
+    _check_modulus,
     _fib_pair_ints,
-    _lucas_pair_ints,
     lucas_brute_period,
-    oracle_cap,
 )
-from .numth import (
+from .numth import (  # noqa: F401
     MODULUS_MAX,
     U64_MAX,
     _factor_pairs,
@@ -92,58 +93,75 @@ def clear_caches() -> None:
     _PRIME_POWER_CACHE.clear()
 
 
+def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
+    """Least n >= 1 at which ``start`` returns under the Fibonacci step mod m.
+
+    ``multiple`` must be a return time and ``primes`` must hold every prime
+    dividing multiple / order.  Return times form the subgroup order * Z, so
+    each prime is divided out while the pair still returns (Cohen, A Course
+    in Computational Algebraic Number Theory, 1.4).
+    """
+    s0, s1 = start[0] % m, start[1] % m
+
+    def returns(n: int) -> bool:
+        # T^n(s0, s1) = (s0 F_{n-1} + s1 F_n, s0 F_n + s1 F_{n+1})
+        f0, f1 = _fib_pair_ints(n, m)
+        return ((s0 * (f1 - f0) + s1 * f0) % m, (s0 * f0 + s1 * f1) % m) == (s0, s1)
+
+    if not returns(multiple):
+        raise ClaimViolationError(
+            f"{start} does not return after {multiple} steps mod {m};"
+            " the divisibility theorem failed (is the input prime?)"
+        )
+    for q in primes:
+        while multiple % q == 0 and returns(multiple // q):
+            multiple //= q
+    return multiple
+
+
 def _prime_period_value(p: int) -> int:
-    """h(p) for prime p: least divisor d of the class bound with
-    (F_d, F_{d+1}) = (0, 1) mod p, divisors tried in increasing order."""
+    """h(p) for prime p: the order of (0, 1) mod p, divided down from the
+    class bound by the primes of the bound."""
     cached = _PRIME_PERIOD_CACHE.get(p)
     if cached is not None:
         return cached
     bound = p - 1 if p % 5 in (1, 4) else 2 * p + 2
-    for d in divisors(factorize(bound)):
-        if _fib_pair_ints(d, p) == (0, 1):
-            _PRIME_PERIOD_CACHE[p] = d
-            return d
-    raise ClaimViolationError(
-        f"no divisor of {bound} is a Fibonacci period of {p};"
-        " the divisibility theorem failed (is the input prime?)"
-    )
+    period = _pair_order((0, 1), p, bound, factorize(bound).primes())
+    _PRIME_PERIOD_CACHE[p] = period
+    return period
 
 
 def prime_period(p: int) -> PeriodResult:
-    """h(p) by divisor search over the class bound; 2 -> 3 and 5 -> 20."""
+    """h(p) as the order of (0, 1) mod p, found by dividing primes out of
+    the class bound; 2 -> 3 and 5 -> 20."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return PeriodResult(p, _prime_period_value(p), Method.PRIME_DIVISOR_SEARCH)
 
 
 def _prime_power_value(p: int, e: int) -> tuple[int, int]:
-    """(h(p^e), guard escalations): candidate p^(e-1) h(p), verified, and
-    multiplied back up by p while the pair test rejects it."""
+    """(h(p^e), lift escalations): the order of (0, 1) mod p^e, divided down
+    by p from p^(e-1) h(p); escalations count the factors of p divided out."""
     key = (p, e)
     cached = _PRIME_POWER_CACHE.get(key)
     if cached is not None:
         return cached
-    pe = p**e
     candidate = p ** (e - 1) * _prime_period_value(p)
     if candidate > U64_MAX:
         raise PeriodOverflowError(
             f"candidate period {candidate} for {p}^{e} exceeds the 64-bit range"
         )
+    period = _pair_order((0, 1), p**e, candidate, (p,))
     escalations = 0
-    target = (0, 1 % pe)
-    while _fib_pair_ints(candidate, pe) != target:
-        candidate *= p
+    while candidate > period:
+        candidate //= p
         escalations += 1
-        if candidate > U64_MAX:
-            raise PeriodOverflowError(
-                f"period of {p}^{e} exceeds the 64-bit range during verification"
-            )
-    _PRIME_POWER_CACHE[key] = (candidate, escalations)
-    return candidate, escalations
+    _PRIME_POWER_CACHE[key] = (period, escalations)
+    return period, escalations
 
 
 def prime_power_period(p: int, e: int) -> PeriodResult:
-    """h(p^e) = p^(e-1) h(p), verified rather than trusted."""
+    """h(p^e), a divisor of p^(e-1) h(p), verified rather than trusted."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if e < 1:
@@ -155,18 +173,16 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
     return PeriodResult(pe, value, Method.PRIME_POWER_LIFT, escalations)
 
 
-def _pisano_value(m: int, seed: int | None = None) -> tuple[int, int, Method]:
-    """(h(m), lift escalations, method) without dataclass overhead."""
-    if m == 1:
-        return 1, 0, Method.LCM_COMPOSITION
-    pairs = _factor_pairs(m, seed)
+def _pisano_value(pairs) -> tuple[int, int, Method]:
+    """(h(m), lift escalations, method) from the (prime, exponent) pairs of
+    m, without dataclass overhead; m = 1 has no pairs."""
     period = 1
     escalations = 0
     for p, e in pairs:
         value, esc = _prime_power_value(p, e)
         escalations += esc
         period = lcm(period, value)
-    if len(pairs) > 1:
+    if len(pairs) != 1:
         method = Method.LCM_COMPOSITION
     elif pairs[0][1] > 1:
         method = Method.PRIME_POWER_LIFT
@@ -177,29 +193,24 @@ def _pisano_value(m: int, seed: int | None = None) -> tuple[int, int, Method]:
 
 def pisano_period(m: int) -> PeriodResult:
     """h(m): factor m, lift each prime power, compose by lcm; h(1) = 1."""
-    if m < 1:
-        raise DomainError(f"modulus {m} must be >= 1")
-    if m > MODULUS_MAX:
-        raise DomainError(f"modulus {m} exceeds the supported domain 2^63 - 1")
-    period, escalations, method = _pisano_value(m)
+    _check_modulus(m)
+    period, escalations, method = _pisano_value(_factor_pairs(m))
     return PeriodResult(m, period, method, escalations)
 
 
 def lucas_period(m: int) -> PeriodResult:
     """Least d with (L_d, L_{d+1}) = (2, 1) mod m.
 
-    The Lucas sequence obeys the same recurrence, so its start pair recurs
-    within the Fibonacci cycle and the period divides h(m); search the
-    divisors of h(m) in increasing order.  Falls back to the brute oracle
-    below the cap should the search ever come up empty.
+    The Lucas sequence obeys the same recurrence, so its start pair returns
+    at h(m) and its period divides h(m).  It is the order of (2, 1), divided
+    down from h(m) by the primes that can divide h(m): those of h(p) for
+    each p | m, and p itself when p^2 | m.
     """
-    fib = pisano_period(m)
-    target = (2 % m, 1 % m)
-    for d in divisors(factorize(fib.period)) if fib.period > 1 else (1,):
-        if _lucas_pair_ints(d, m) == target:
-            return PeriodResult(m, d, Method.PRIME_DIVISOR_SEARCH, fib.lift_escalations)
-    if m <= oracle_cap():
-        return lucas_brute_period(m)
-    raise ClaimViolationError(
-        f"Lucas start pair did not recur within divisors of h({m}) = {fib.period}"
-    )
+    _check_modulus(m)
+    pairs = _factor_pairs(m)
+    period, escalations, _ = _pisano_value(pairs)
+    primes = {p for p, e in pairs if e > 1}
+    for p, _ in pairs:
+        primes.update(factorize(_prime_period_value(p)).primes())
+    period = _pair_order((2, 1), m, period, primes)
+    return PeriodResult(m, period, Method.PRIME_DIVISOR_SEARCH, escalations)

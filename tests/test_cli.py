@@ -55,6 +55,16 @@ def test_period_overflow_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_period_beyond_64_bits_is_an_error(capsys):
+    # m = 10 p lies in the domain, but h(m) = lcm(60, 2p + 2) > 2^64 - 1
+    for argv in (("period", "9223372036854772630"),
+                 ("period", "9223372036854772630", "--lucas")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the 64-bit range" in err
+
+
 def test_period_json_error_object(capsys):
     code, out, err = run(capsys, "period", str(2**63), "--json")
     assert code == 1

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from pisano.errors import DomainError, PeriodOverflowError
-from pisano.fibmod import Method, brute_period, fib_pair, lucas_brute_period
-from pisano.numth import primes_up_to
+from pisano.fibmod import Method, brute_period, fib_pair, lucas_brute_period, lucas_pair
+from pisano.numth import MODULUS_MAX, U64_MAX, factorize, primes_up_to
 from pisano.periods import (
     PrimeClass,
     classify_prime,
@@ -160,13 +160,16 @@ def test_pisano_period_is_lcm_of_prime_power_parts():
 
 def test_pisano_period_start_pair_recurs_at_period_only():
     rng = random.Random(86420)
-    for _ in range(50):
-        m = rng.randrange(2, 10**7)
-        h = pisano_period(m).period
-        assert fib_pair(h, m).as_tuple() == (0, 1), m
-        # h is minimal: check a few maximal proper divisors
-        for q in {h // p for p in (2, 3, 5, 7, 11) if h % p == 0}:
-            assert fib_pair(q, m).as_tuple() != (0, 1), (m, q)
+    moduli = [rng.randrange(2, 10**7) for _ in range(50)]
+    moduli += [rng.randrange(2**40, 2**61) for _ in range(10)]
+    for m in moduli:
+        for period, pair, start in ((pisano_period, fib_pair, (0, 1)),
+                                    (lucas_period, lucas_pair, (2 % m, 1 % m))):
+            h = period(m).period
+            assert pair(h, m).as_tuple() == start, m
+            # h is minimal: no maximal proper divisor h / q returns
+            for q in factorize(h).primes() if h > 1 else ():
+                assert pair(h // q, m).as_tuple() != start, (m, q)
 
 
 def test_pisano_period_domain():
@@ -176,8 +179,27 @@ def test_pisano_period_domain():
         pisano_period(2**63)
 
 
+def test_periods_at_the_domain_boundaries():
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657
+    h = pisano_period(MODULUS_MAX).period
+    assert fib_pair(h, MODULUS_MAX).as_tuple() == (0, 1)
+    assert h == math.lcm(*(prime_power_period(p, e).period
+                           for p, e in factorize(MODULUS_MAX)))
+    assert lucas_period(MODULUS_MAX).period == h  # 5 does not divide 2^63 - 1
+    # 2 * 5^26 is the largest in-domain modulus with h(m) = 6m
+    m = 2 * 5**26
+    assert pisano_period(m).period == 12 * 5**26 == 6 * m
+    assert 6 * m < U64_MAX
+    # 10 p is in the domain, but lcm(60, 2p + 2) > 2^64 - 1
+    p = 922337203685477263
+    assert p % 5 == 3 and 10 * p <= MODULUS_MAX
+    for period in (pisano_period, lucas_period):
+        with pytest.raises(PeriodOverflowError):
+            period(10 * p)
+
+
 def test_lucas_period_matches_oracle():
-    for m in range(1, 800):
+    for m in range(1, 2001):
         assert lucas_period(m).period == lucas_brute_period(m).period, m
 
 
@@ -187,6 +209,24 @@ def test_lucas_period_known_family():
         assert lucas_period(5**n).period == 4 * 5 ** (n - 1), n
     assert lucas_period(6).period == 24
     assert lucas_period(1).period == 1
+
+
+def test_lucas_period_cross_check_with_fibonacci_period():
+    # h_L(m) = h(m) when 5 does not divide m, and
+    # h_L(5^a k) = lcm(4 * 5^(a-1), h(k)) with 5 not dividing k; that is
+    # h(m) / 5 only when 5^a does not divide h(k): h_L(55) = h(55) = 20.
+    rng = random.Random(5555)
+    moduli = list(range(1, 5001)) + [rng.randrange(2, 2**61) for _ in range(20)]
+    moduli += [5**a * k for a in (1, 2, 26) for k in (1, 2, 11, 3**20, 2**59 - 1)
+               if 5**a * k <= MODULUS_MAX]
+    for m in moduli:
+        a, k = 0, m
+        while k % 5 == 0:
+            a, k = a + 1, k // 5
+        expected = pisano_period(m).period if a == 0 else math.lcm(
+            4 * 5 ** (a - 1), pisano_period(k).period)
+        assert lucas_period(m).period == expected, m
+    assert lucas_period(55).period == pisano_period(55).period == 20
 
 
 def test_lucas_period_divides_pisano_period():
