@@ -4,9 +4,9 @@ filter diagnostics, and the parity/divisibility laws.
 
 Ratios are exact integer pairs throughout; floating point never enters a
 stored value, so 6m equality cannot alias.  Hard assertions raise
-ClaimViolationError with the offending evidence attached.  Scan workers
-share nothing; records reach the sink in ascending m regardless of the
-worker count, so identical arguments produce byte-identical reports.
+ClaimViolationError with the offending evidence attached.  Each scan is one
+sequential pass; records reach the sink in ascending m, so identical
+arguments produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -14,20 +14,14 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from concurrent.futures import ProcessPoolExecutor
+# Unused ProcessPoolExecutor stays: bench/tracer.py wraps it here.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
 from .numth import _factor_pairs, primes_up_to
-from .periods import (
-    PrimeClass,
-    _classify,
-    _pisano_value,
-    lucas_period,
-    seed_prime_period_cache,
-    _prime_period_value,
-)
+from .periods import _pisano_value, lucas_period
 from .theorems import FilterReport, theorem1_period, theorem2_period
 
 
@@ -61,7 +55,6 @@ class ScanRecord:
     m: int
     period: int
     method: Method
-    class_summary: tuple[PrimeClass, ...]
     flags: frozenset[Flag]
 
     @property
@@ -83,33 +76,6 @@ class ScanRecord:
         return dict(zip(CSV_COLUMNS, self.csv_row()))
 
 
-def _classes_of(m: int, seed: int | None = None) -> tuple[PrimeClass, ...]:
-    if m == 1:
-        return ()
-    present = {_classify(p) for p, _ in _factor_pairs(m, seed)}
-    return tuple(c for c in PrimeClass if c in present)
-
-
-# ---------------------------------------------------------------------------
-# parallel prime-period precomputation
-
-def _prime_period_slice(primes: list[int]) -> list[tuple[int, int]]:
-    return [(p, _prime_period_value(p)) for p in primes]
-
-
-def _prime_period_table(limit: int, workers: int) -> dict[int, int]:
-    """h(p) for every prime p <= limit, split striped across workers."""
-    primes = primes_up_to(limit)
-    if workers <= 1:
-        return {p: _prime_period_value(p) for p in primes}
-    slices = [primes[i::workers] for i in range(workers)]
-    table: dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_prime_period_slice, slices):
-            table.update(part)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # scan summaries
 
@@ -126,15 +92,6 @@ class RatioScanSummary:
     def max_at(self) -> int:
         return self.attained[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": "ratio", "limit": self.limit, "records": self.records,
-            "max_ratio_num": self.max_ratio[0], "max_ratio_den": self.max_ratio[1],
-            "attained": list(self.attained),
-            "equality_set": list(self.equality_set),
-            "lift_guard_count": self.lift_guard_count,
-        }
-
 
 @dataclass(frozen=True)
 class IrreducibleScanSummary:
@@ -143,13 +100,6 @@ class IrreducibleScanSummary:
     max_ratio: tuple[int, int]
     max_at: int
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": "irreducible", "limit": self.limit, "checked": self.checked,
-            "max_ratio_num": self.max_ratio[0], "max_ratio_den": self.max_ratio[1],
-            "max_at": self.max_at,
-        }
-
 
 @dataclass(frozen=True)
 class LucasScanSummary:
@@ -157,13 +107,6 @@ class LucasScanSummary:
     records: int
     max_ratio: tuple[int, int]
     attained: tuple[int, ...]    # every m achieving the maximum ratio
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": "lucas", "limit": self.limit, "records": self.records,
-            "max_ratio_num": self.max_ratio[0], "max_ratio_den": self.max_ratio[1],
-            "attained": list(self.attained),
-        }
 
 
 @dataclass(frozen=True)
@@ -187,13 +130,6 @@ class FilterScanSummary:
     def agreement_rate(self) -> tuple[int, int]:
         return (self.agreements, self.total)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": "filters", "prime_limit": self.prime_limit, "total": self.total,
-            "agreements": self.agreements,
-            "disagreements": [filter_report_obj(r) for r in self.disagreements],
-        }
-
 
 @dataclass(frozen=True)
 class WallScanSummary:
@@ -201,13 +137,6 @@ class WallScanSummary:
     divisor_limit: int
     parity_checked: int
     divisibility_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": "wall", "limit": self.limit, "divisor_limit": self.divisor_limit,
-            "parity_checked": self.parity_checked,
-            "divisibility_checked": self.divisibility_checked,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +155,17 @@ def _expected_equality_set(limit: int) -> list[int]:
     return out
 
 
-def ratio_scan(limit: int, emit=None, *, workers: int = 1,
-               seed: int | None = None) -> RatioScanSummary:
+def ratio_scan(limit: int, emit=None) -> RatioScanSummary:
     """h(m) for 1 <= m <= limit, asserting h(m) <= 6m everywhere and that
     equality happens exactly on {2 * 5^n}.  ``emit`` receives one ScanRecord
     per m in ascending order."""
     _check_limit(limit)
-    if workers > 1:
-        seed_prime_period_cache(_prime_period_table(limit, workers))
     best_num, best_den = 0, 1
     attained: list[int] = []
     equality: list[int] = []
     guard_count = 0
     for m in range(1, limit + 1):
-        period, escalations, method = _pisano_value(_factor_pairs(m, seed))
+        period, escalations, method = _pisano_value(_factor_pairs(m))
         if period > 6 * m:
             raise ClaimViolationError(
                 f"6m bound violated: h({m}) = {period} > {6 * m}",
@@ -260,8 +186,7 @@ def ratio_scan(limit: int, emit=None, *, workers: int = 1,
             guard_count += 1
             flags.add(Flag.LIFT_GUARD_TRIGGERED)
         if emit is not None:
-            emit(ScanRecord(m, period, method, _classes_of(m, seed),
-                            frozenset(flags)))
+            emit(ScanRecord(m, period, method, frozenset(flags)))
     expected = _expected_equality_set(limit)
     if equality != expected:
         raise ClaimViolationError(
@@ -272,15 +197,14 @@ def ratio_scan(limit: int, emit=None, *, workers: int = 1,
                             tuple(attained), tuple(equality), guard_count)
 
 
-def irreducible_product_scan(limit: int, emit=None, *,
-                             seed: int | None = None) -> IrreducibleScanSummary:
+def irreducible_product_scan(limit: int, emit=None) -> IrreducibleScanSummary:
     """Over m <= limit built only from odd primes = +-2 (mod 5), assert the
     strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly)."""
     _check_limit(limit)
     checked = 0
     best_num, best_den, best_at = 0, 1, 0
     for m in range(1, limit + 1):
-        pairs = _factor_pairs(m, seed)
+        pairs = _factor_pairs(m)
         if not all(p != 2 and p % 5 in (2, 3) for p, _ in pairs):
             continue
         period, _, method = _pisano_value(pairs)
@@ -295,9 +219,7 @@ def irreducible_product_scan(limit: int, emit=None, *,
             best_num, best_den, best_at = period, m, m
             flags.add(Flag.NEW_MAXIMUM)
         if emit is not None:
-            emit(ScanRecord(m, period, method,
-                            (PrimeClass.IRREDUCIBLE,) if pairs else (),
-                            frozenset(flags)))
+            emit(ScanRecord(m, period, method, frozenset(flags)))
     return IrreducibleScanSummary(limit, checked, (best_num, best_den), best_at)
 
 
@@ -319,8 +241,7 @@ def lucas_ratio_scan(limit: int, emit=None) -> LucasScanSummary:
         elif cross_new == cross_best:
             attained.append(m)
         if emit is not None:
-            emit(ScanRecord(m, period, result.method, _classes_of(m),
-                            frozenset(flags)))
+            emit(ScanRecord(m, period, result.method, frozenset(flags)))
     if limit >= 6 and (best_num != 4 * best_den or attained != [6]):
         raise ClaimViolationError(
             f"Lucas maximum expected 4 at m = 6 only; got {best_num}/{best_den}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from .analysis import (
     CsvRecordSink,
     JsonRecordSink,
     ScanRecord,
-    _classes_of,
     filter_agreement_scan,
     irreducible_product_scan,
     lucas_ratio_scan,
@@ -80,8 +78,7 @@ def _record_for(m: int, result) -> ScanRecord:
         flags.add(Flag.RATIO_SIX)
     if result.lift_escalations:
         flags.add(Flag.LIFT_GUARD_TRIGGERED)
-    return ScanRecord(m, result.period, result.method, _classes_of(m),
-                      frozenset(flags))
+    return ScanRecord(m, result.period, result.method, frozenset(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +150,13 @@ def _run_suite(suite: str, args, emit, report_fh, fmt):
     (ratio/irreducible/lucas) or writes the report wholesale (filters)."""
     limit = args.limit
     if suite == "ratio":
-        s = ratio_scan(limit, emit, workers=args.threads, seed=args.seed)
+        s = ratio_scan(limit, emit)
         return (f"ratio: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}; "
                 f"equality set {_fmt_set(s.equality_set)}; "
                 f"lift guard triggered {s.lift_guard_count}x")
     if suite == "irreducible":
-        s = irreducible_product_scan(limit, emit, seed=args.seed)
+        s = irreducible_product_scan(limit, emit)
         return (f"irreducible: {s.checked} of {limit} moduli qualify; "
                 f"max ratio {_fmt_ratio(*s.max_ratio)} at m={s.max_at}; "
                 f"bound 4 holds")
@@ -258,10 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
     p.add_argument("--emit", choices=("csv", "json"))
     p.add_argument("--out", help="report file (directory for --suite all)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="factorizer seed (results are seed-independent)")
+    p.add_argument("--seed", type=int, help="accepted; changes nothing")
     p.add_argument("--threads", type=positive_int,
-                   default=os.cpu_count() or 1)
+                   help="accepted; changes nothing (scans run in one process)")
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -23,19 +23,6 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**63 - 1
 
 
-def _small_prime_sieve(limit: int) -> tuple[int, ...]:
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start: limit + 1: p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(i for i, v in enumerate(sieve) if v)
-
-
-_TRIAL_PRIMES = _small_prime_sieve(1024)
-_TRIAL_LIMIT_SQ = 1024 * 1024
-
 # Deterministic Miller-Rabin witness tiers (Jaeschke / Sinclair bounds).
 # The final set is valid for all n < 3.3e24, which covers 64-bit inputs.
 _MR_TIERS = (
@@ -57,6 +44,10 @@ def primes_up_to(n: int) -> list[int]:
             start = p * p
             sieve[start: n + 1: p] = b"\x00" * ((n - start) // p + 1)
     return [i for i, v in enumerate(sieve) if v]
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(1024))
+_TRIAL_LIMIT_SQ = 1024 * 1024
 
 
 def is_prime(n: int) -> bool:

@@ -81,11 +81,6 @@ _PRIME_PERIOD_CACHE: dict[int, int] = {2: 3, 5: 20}
 _PRIME_POWER_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def seed_prime_period_cache(table: dict[int, int]) -> None:
-    """Install precomputed prime periods (used by parallel scans)."""
-    _PRIME_PERIOD_CACHE.update(table)
-
-
 def clear_caches() -> None:
     """Drop memoized periods (timing tests want cold starts)."""
     _PRIME_PERIOD_CACHE.clear()

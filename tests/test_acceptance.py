@@ -2,7 +2,6 @@
 each.  Verdicts also land in the end-of-run summary via conftest."""
 
 import math
-import os
 import time
 
 from conftest import record_verdict
@@ -63,7 +62,7 @@ def test_criterion_02_known_constants():
 
 def test_criterion_03_six_m_bound_and_equality_set():
     t0 = time.perf_counter()
-    s = ratio_scan(10**6, workers=os.cpu_count() or 1)
+    s = ratio_scan(10**6)
     elapsed = time.perf_counter() - t0
     expected = (10, 50, 250, 1250, 6250, 31250, 156250, 781250)
     ok = s.equality_set == expected and s.max_ratio == (60, 10)

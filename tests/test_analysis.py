@@ -20,7 +20,6 @@ from pisano.analysis import (
 )
 from pisano.errors import DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
-from pisano.periods import clear_caches
 
 
 def trial_is_prime(n):
@@ -78,24 +77,6 @@ def test_ratio_scan_records_stream_in_order():
     assert Flag.RATIO_SIX in records[9].flags
     assert Flag.NEW_MAXIMUM in records[0].flags
     assert Flag.NEW_MAXIMUM in records[9].flags
-
-
-def test_ratio_scan_worker_count_changes_nothing():
-    clear_caches()
-    one = io.StringIO()
-    ratio_scan(400, CsvRecordSink(one), workers=1)
-    clear_caches()
-    two = io.StringIO()
-    ratio_scan(400, CsvRecordSink(two), workers=2)
-    assert one.getvalue() == two.getvalue()
-
-
-def test_ratio_scan_seed_changes_nothing():
-    a = io.StringIO()
-    ratio_scan(200, CsvRecordSink(a), seed=None)
-    b = io.StringIO()
-    ratio_scan(200, CsvRecordSink(b), seed=12345)
-    assert a.getvalue() == b.getvalue()
 
 
 def test_ratio_scan_domain():
@@ -174,7 +155,7 @@ def test_wall_scan_divisor_limit():
 
 
 def test_scan_record_serialization():
-    rec = ScanRecord(10, 60, Method.LCM_COMPOSITION, (),
+    rec = ScanRecord(10, 60, Method.LCM_COMPOSITION,
                      frozenset({Flag.RATIO_SIX, Flag.NEW_MAXIMUM}))
     assert rec.csv_row() == (10, 60, 60, 10, "LcmComposition", "RatioSix;NewMaximum")
     obj = rec.json_obj()

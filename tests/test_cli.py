@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing.process
 import subprocess
 import sys
 
@@ -227,6 +228,18 @@ def test_scan_deterministic_across_threads(tmp_path, capsys):
     run(capsys, "scan", "--limit", "300", "--suite", "ratio", "--emit", "csv",
         "--out", str(b), "--threads", "2", "--seed", "42")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_starts_no_process(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("pisano scan started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    code, _, _ = run(capsys, "scan", "--suite", "all", "--limit", "300",
+                     "--threads", "4", "--out", str(tmp_path))
+    assert code == 0
+    code, _, _ = run(capsys, "scan", "--limit", "10", "--threads", "0")
+    assert code == 2
 
 
 def test_module_entry_point():

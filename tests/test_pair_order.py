@@ -5,16 +5,11 @@ import random
 
 import pytest
 
+from pisano import periods
 from pisano.errors import ClaimViolationError
 from pisano.fibmod import fib_pair
 from pisano.numth import divisors, factorize, is_prime, primes_up_to
-from pisano.periods import (
-    _pair_order,
-    clear_caches,
-    prime_period,
-    prime_power_period,
-    seed_prime_period_cache,
-)
+from pisano.periods import _pair_order, clear_caches, prime_period, prime_power_period
 
 
 def divisor_search_period(p: int) -> int:
@@ -50,12 +45,12 @@ def test_pair_order_rejects_a_multiple_that_is_not_a_return_time():
         _pair_order((2, 1), 55, 10, (2, 5))
 
 
-def test_lift_escalations_count_factors_of_p_divided_out():
+def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
     # A cache entry of p * h(p) stands in for a prime with h(p^2) = h(p):
     # the lift starts at 7 * 112 mod 49 and must divide one 7 out.
     clear_caches()
     try:
-        seed_prime_period_cache({7: 7 * 16})
+        monkeypatch.setitem(periods._PRIME_PERIOD_CACHE, 7, 7 * 16)
         res = prime_power_period(7, 2)
         assert (res.period, res.lift_escalations) == (112, 1)
     finally:

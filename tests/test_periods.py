@@ -15,7 +15,6 @@ from pisano.periods import (
     pisano_period,
     prime_period,
     prime_power_period,
-    seed_prime_period_cache,
 )
 
 
@@ -198,6 +197,23 @@ def test_periods_at_the_domain_boundaries():
             period(10 * p)
 
 
+@pytest.mark.parametrize("m, h, h_lucas, method", [
+    (1, 1, 1, Method.LCM_COMPOSITION),   # no prime powers: the empty lcm
+    (2, 3, 3, Method.PRIME_DIVISOR_SEARCH),
+    (4, 6, 6, Method.PRIME_POWER_LIFT),
+    (5, 20, 4, Method.PRIME_DIVISOR_SEARCH),
+    (25, 100, 20, Method.PRIME_POWER_LIFT),
+])
+def test_periods_at_m_one_two_and_the_special_primes(m, h, h_lucas, method):
+    res = pisano_period(m)
+    assert res.period == brute_period(m).period == h
+    assert res.method is method
+    assert lucas_period(m).period == lucas_brute_period(m).period == h_lucas
+    if m in (2, 5):
+        # a special prime's class bound is its period, not a multiple of it
+        assert period_bound(m) == h
+
+
 def test_lucas_period_matches_oracle():
     for m in range(1, 2001):
         assert lucas_period(m).period == lucas_brute_period(m).period, m
@@ -237,14 +253,6 @@ def test_lucas_period_divides_pisano_period():
 def test_prime_power_at_first_power_is_prime_period():
     for p in primes_up_to(10**4):
         assert prime_power_period(p, 1).period == prime_period(p).period, p
-
-
-def test_caches_can_be_seeded_and_cleared():
-    clear_caches()
-    seed_prime_period_cache({11: 10, 29: 14})
-    assert pisano_period(11 * 29).period == math.lcm(10, 14)
-    clear_caches()
-    assert pisano_period(11 * 29).period == math.lcm(10, 14)
 
 
 def test_results_are_deterministic_across_calls():
