@@ -7,6 +7,11 @@ stored value, so 6m equality cannot alias.  Hard assertions raise
 ClaimViolationError with the offending evidence attached.  Each scan is one
 sequential pass; records reach the sink in ascending m, so identical
 arguments produce byte-identical reports.
+
+The ratio, irreducible, Lucas and wall scans never factor m: they read h(m)
+from one sieve-built ``periods.period_table(limit)``, in which each h(p)
+and each lift is computed once and verified.  A limit too large for the
+tables is a DomainError before any work starts.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
-from .numth import _factor_pairs, primes_up_to
-from .periods import _pisano_value, lucas_period
+from .numth import primes_up_to
+from .periods import TABLE_METHODS, lucas_period_table, period_table
+# Unused lucas_period stays: bench/tracer.py wraps it here.
+from .periods import lucas_period  # noqa: F401
 from .theorems import FilterReport, theorem1_period, theorem2_period
 
 
@@ -74,6 +81,17 @@ class ScanRecord:
 
     def json_obj(self) -> dict:
         return dict(zip(CSV_COLUMNS, self.csv_row()))
+
+
+def period_flags(m: int, period: int, escalations: int) -> set[Flag]:
+    """The flags a period record carries on its own: RatioSix when
+    h(m) = 6m, LiftGuardTriggered when a lift divided a factor of p out."""
+    flags = set()
+    if period == 6 * m:
+        flags.add(Flag.RATIO_SIX)
+    if escalations:
+        flags.add(Flag.LIFT_GUARD_TRIGGERED)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +178,22 @@ def ratio_scan(limit: int, emit=None) -> RatioScanSummary:
     equality happens exactly on {2 * 5^n}.  ``emit`` receives one ScanRecord
     per m in ascending order."""
     _check_limit(limit)
+    table = period_table(limit)
+    periods, lifts, methods = table.period, table.escalations, table.method
     best_num, best_den = 0, 1
     attained: list[int] = []
     equality: list[int] = []
     guard_count = 0
     for m in range(1, limit + 1):
-        period, escalations, method = _pisano_value(_factor_pairs(m))
+        period = periods[m]
         if period > 6 * m:
             raise ClaimViolationError(
                 f"6m bound violated: h({m}) = {period} > {6 * m}",
                 details=[(m, period)],
             )
-        flags = set()
-        if period == 6 * m:
+        flags = period_flags(m, period, lifts[m])
+        if Flag.RATIO_SIX in flags:
             equality.append(m)
-            flags.add(Flag.RATIO_SIX)
         cross_new, cross_best = period * best_den, best_num * m
         if cross_new > cross_best:
             best_num, best_den = period, m
@@ -182,11 +201,10 @@ def ratio_scan(limit: int, emit=None) -> RatioScanSummary:
             flags.add(Flag.NEW_MAXIMUM)
         elif cross_new == cross_best:
             attained.append(m)
-        if escalations:
+        if Flag.LIFT_GUARD_TRIGGERED in flags:
             guard_count += 1
-            flags.add(Flag.LIFT_GUARD_TRIGGERED)
         if emit is not None:
-            emit(ScanRecord(m, period, method, frozenset(flags)))
+            emit(ScanRecord(m, period, TABLE_METHODS[methods[m]], frozenset(flags)))
     expected = _expected_equality_set(limit)
     if equality != expected:
         raise ClaimViolationError(
@@ -201,13 +219,21 @@ def irreducible_product_scan(limit: int, emit=None) -> IrreducibleScanSummary:
     """Over m <= limit built only from odd primes = +-2 (mod 5), assert the
     strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly)."""
     _check_limit(limit)
+    table = period_table(limit)
+    spf, periods, methods = table.spf, table.period, table.method
+    # kept[m]: every prime of m is odd and = +-2 (mod 5), read as
+    # p = 3, 7 (mod 10) for p = spf(m) and kept[m / p]
+    kept = bytearray(limit + 1)
+    kept[1] = 1
     checked = 0
     best_num, best_den, best_at = 0, 1, 0
     for m in range(1, limit + 1):
-        pairs = _factor_pairs(m)
-        if not all(p != 2 and p % 5 in (2, 3) for p, _ in pairs):
-            continue
-        period, _, method = _pisano_value(pairs)
+        if m > 1:
+            p = spf[m] or m
+            if not (p % 10 in (3, 7) and kept[m // p]):
+                continue
+            kept[m] = 1
+        period = periods[m]
         if 4 * m - period <= 0:
             raise ClaimViolationError(
                 f"irreducible-product bound violated: h({m}) = {period} >= {4 * m}",
@@ -219,7 +245,7 @@ def irreducible_product_scan(limit: int, emit=None) -> IrreducibleScanSummary:
             best_num, best_den, best_at = period, m, m
             flags.add(Flag.NEW_MAXIMUM)
         if emit is not None:
-            emit(ScanRecord(m, period, method, frozenset(flags)))
+            emit(ScanRecord(m, period, TABLE_METHODS[methods[m]], frozenset(flags)))
     return IrreducibleScanSummary(limit, checked, (best_num, best_den), best_at)
 
 
@@ -227,11 +253,11 @@ def lucas_ratio_scan(limit: int, emit=None) -> LucasScanSummary:
     """Maximum Lucas-period ratio over m <= limit; for limit >= 6 asserts the
     maximum is exactly 4, attained only at m = 6."""
     _check_limit(limit)
+    periods = lucas_period_table(period_table(limit))
     best_num, best_den = 0, 1
     attained: list[int] = []
     for m in range(1, limit + 1):
-        result = lucas_period(m)
-        period = result.period
+        period = periods[m]
         cross_new, cross_best = period * best_den, best_num * m
         flags = set()
         if cross_new > cross_best:
@@ -241,7 +267,8 @@ def lucas_ratio_scan(limit: int, emit=None) -> LucasScanSummary:
         elif cross_new == cross_best:
             attained.append(m)
         if emit is not None:
-            emit(ScanRecord(m, period, result.method, frozenset(flags)))
+            # the Lucas CSV keeps the method lucas_period reports
+            emit(ScanRecord(m, period, Method.PRIME_DIVISOR_SEARCH, frozenset(flags)))
     if limit >= 6 and (best_num != 4 * best_den or attained != [6]):
         raise ClaimViolationError(
             f"Lucas maximum expected 4 at m = 6 only; got {best_num}/{best_den}"
@@ -280,9 +307,7 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None) -> WallScan
     div_limit = limit if divisor_limit is None else divisor_limit
     if div_limit > limit:
         raise DomainError("divisor_limit cannot exceed limit")
-    periods = [0] * (limit + 1)
-    for m in range(1, limit + 1):
-        periods[m] = _pisano_value(_factor_pairs(m))[0]
+    periods = period_table(limit).period
 
     parity_violations = [(m, periods[m]) for m in range(3, limit + 1)
                          if periods[m] % 2]

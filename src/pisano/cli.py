@@ -20,11 +20,11 @@ from .analysis import (
     filter_agreement_scan,
     irreducible_product_scan,
     lucas_ratio_scan,
+    period_flags,
     ratio_scan,
     wall_property_scan,
     write_filter_reports_csv,
     write_filter_reports_json,
-    Flag,
 )
 from .errors import ClaimViolationError, PisanoError
 from .fibmod import fib_pair
@@ -72,15 +72,6 @@ def _fmt_set(values) -> str:
     return "{" + ",".join(str(v) for v in values) + "}"
 
 
-def _record_for(m: int, result) -> ScanRecord:
-    flags = set()
-    if result.period == 6 * m:
-        flags.add(Flag.RATIO_SIX)
-    if result.lift_escalations:
-        flags.add(Flag.LIFT_GUARD_TRIGGERED)
-    return ScanRecord(m, result.period, result.method, frozenset(flags))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -88,7 +79,9 @@ def cmd_period(args) -> int:
     m = args.m
     result = lucas_period(m) if args.lucas else pisano_period(m)
     if args.json:
-        print(json.dumps(_record_for(m, result).json_obj()))
+        flags = period_flags(m, result.period, result.lift_escalations)
+        record = ScanRecord(m, result.period, result.method, frozenset(flags))
+        print(json.dumps(record.json_obj()))
         return 0
     name = "h_L" if args.lucas else "h"
     print(f"{name}({m}) = {result.period}")

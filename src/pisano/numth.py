@@ -1,5 +1,5 @@
-"""General integer number theory: primality, factorization, divisors,
-modular square roots, multiplicative order.
+"""General integer number theory: primality, a smallest-prime-factor sieve,
+factorization, divisors, modular square roots, multiplicative order.
 
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so any number of threads may call these concurrently.
@@ -11,8 +11,11 @@ checks rather than left to wraparound.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import compress, islice
 
 from .errors import DomainError, PeriodOverflowError
 
@@ -33,17 +36,53 @@ _MR_TIERS = (
 )
 
 
+def _zeroed(typecode: str, n: int) -> array:
+    """An array of n zeros made by one sized allocation.  A size the machine
+    cannot hold fails at once as a DomainError, never part-way through a
+    fill."""
+    try:
+        return array(typecode, (0,)) * n
+    except (MemoryError, OverflowError):
+        raise DomainError(f"a table of {n} entries does not fit in memory") from None
+
+
+def smallest_prime_factors(n: int) -> array:
+    """spf[m] = the smallest prime factor of composite m <= n, and 0 for a
+    prime or m < 2 (so entries stay below 2^32).
+
+    Sieve of Eratosthenes run downwards: every prime p <= sqrt(n) marks its
+    multiples from p^2, and the smaller primes, marked later, overwrite.
+    The primes p <= sqrt(n) come from the same sieve one level down.
+    """
+    spf = _zeroed("I", n + 1)
+    root = math.isqrt(n)
+    if root >= 2:
+        below = smallest_prime_factors(root)
+        for p in range(root, 1, -1):
+            if not below[p]:
+                start = p * p
+                spf[start::p] = array("I", (p,)) * ((n - start) // p + 1)
+    return spf
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending (simple sieve)."""
+    """All primes <= n, ascending, read off the smallest-factor sieve."""
     if n < 2:
         return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start: n + 1: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    spf = smallest_prime_factors(n)
+    return list(compress(range(2, n + 1), map(operator.not_, islice(spf, 2, None))))
+
+
+def _sieve_primes(spf, n: int) -> list[int]:
+    """Distinct primes of 1 <= n < len(spf), ascending, by sieve lookups."""
+    out = []
+    while n > 1:
+        p = spf[n] or n
+        out.append(p)
+        n //= p
+        while n % p == 0:
+            n //= p
+    return out
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1024))

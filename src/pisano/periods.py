@@ -6,6 +6,13 @@ while the pair still returns.  The multiple is the class bound for a prime
 (2p+2 for p = +-2 mod 5, p-1 for p = +-1 mod 5), p^(e-1) h(p) for a prime
 power, and h(m) for the Lucas pair; prime powers compose by lcm.
 
+Range scans use ``period_table(limit)`` instead: one smallest-prime-factor
+sieve, then one ascending pass that finds h(p) from the class bound (its
+primes read off the sieve), lifts h(p^e) from p h(p^(e-1)), and composes
+every other m as lcm(h(p^e), h(m / p^e)).  Every h(p) and lift is verified
+by the pair returning, as on the point path; ``lucas_period_table`` adds the
+Lucas periods in a second pass over the same sieve.
+
 Caches are plain dicts of immutable values: concurrent writers can only
 store identical entries, so the functions stay thread-safe.
 """
@@ -13,6 +20,9 @@ store identical entries, so the functions stay thread-safe.
 from __future__ import annotations
 
 import enum
+import math
+from array import array
+from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
 # Unused divisors and lucas_brute_period stay: bench/tracer.py wraps them here.
@@ -27,10 +37,13 @@ from .numth import (  # noqa: F401
     MODULUS_MAX,
     U64_MAX,
     _factor_pairs,
+    _sieve_primes,
+    _zeroed,
     divisors,
     factorize,
     is_prime,
     lcm,
+    smallest_prime_factors,
 )
 
 
@@ -209,3 +222,106 @@ def lucas_period(m: int) -> PeriodResult:
         primes.update(factorize(_prime_period_value(p)).primes())
     period = _pair_order((2, 1), m, period, primes)
     return PeriodResult(m, period, Method.PRIME_DIVISOR_SEARCH, escalations)
+
+
+# Method codes of a PeriodTable; 0 covers m = 1, which composes nothing.
+TABLE_METHODS = (Method.LCM_COMPOSITION, Method.PRIME_DIVISOR_SEARCH,
+                 Method.PRIME_POWER_LIFT)
+
+
+@dataclass(frozen=True)
+class PeriodTable:
+    """h(m), lift escalations and Method code for every 0 < m <= limit.
+
+    ``spf`` is the sieve the table was built from; entry 0 of each array is
+    unused.  ``escalations[m]`` equals ``pisano_period(m).lift_escalations``
+    and ``TABLE_METHODS[method[m]]`` its ``method``.
+    """
+
+    spf: array           # 'I', numth.smallest_prime_factors(limit)
+    period: array        # 'Q'
+    escalations: array   # 'B'
+    method: array        # 'B', an index into TABLE_METHODS
+
+
+def _sieve_bound(p: int, spf) -> tuple[int, list[int]]:
+    """The class bound of prime p and its primes, read off the sieve."""
+    if p == 2:
+        return 3, [3]
+    if p == 5:
+        return 20, [2, 5]
+    if p % 5 in (1, 4):
+        return p - 1, _sieve_primes(spf, p - 1)
+    # 2p + 2 = 4 (p + 1) / 2, and (p + 1) / 2 <= p stays inside the sieve
+    return 2 * p + 2, [2, *_sieve_primes(spf, (p + 1) // 2)]
+
+
+def period_table(limit: int) -> PeriodTable:
+    """h(m) for 1 <= m <= limit (limit >= 1) in one ascending pass over the
+    sieve.
+
+    For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
+    its class bound; a prime power is the order from p * h(p^(e-1)) (every
+    factor of p divided out is a lift escalation); anything else is
+    lcm(h(p^e), h(rest)).  The caches of the point path are not touched.
+    A limit whose tables cannot be allocated is a DomainError.
+    """
+    spf = smallest_prime_factors(limit)
+    period = _zeroed("Q", limit + 1)
+    escalations = _zeroed("B", limit + 1)
+    method = _zeroed("B", limit + 1)
+    period[1] = 1
+    for m in range(2, limit + 1):
+        p = spf[m]
+        if not p:
+            bound, primes = _sieve_bound(m, spf)
+            period[m] = _pair_order((0, 1), m, bound, primes)
+            method[m] = 1  # PRIME_DIVISOR_SEARCH
+            continue
+        rest = m // p
+        if rest % p:
+            period[m] = math.lcm(period[p], period[rest])
+            escalations[m] = escalations[rest]
+            continue
+        pe = p
+        while rest % p == 0:
+            rest //= p
+            pe *= p
+        if rest > 1:
+            period[m] = math.lcm(period[pe], period[rest])
+            escalations[m] = escalations[pe] + escalations[rest]
+            continue
+        below = m // p
+        multiple = p * period[below]
+        value = _pair_order((0, 1), m, multiple, (p,))
+        lifted = escalations[below]
+        while multiple > value:
+            multiple //= p
+            lifted += 1
+        period[m] = value
+        escalations[m] = lifted
+        method[m] = 2  # PRIME_POWER_LIFT
+    return PeriodTable(spf, period, escalations, method)
+
+
+def lucas_period_table(table: PeriodTable) -> array:
+    """h_L(m) for every m of ``table``: h_L(p^e) is the order of (2, 1) from
+    h(p^e), divided by the primes of p's class bound and p itself; the rest
+    compose by lcm, since (2, 1) returns mod m exactly when it returns mod
+    every p^e || m."""
+    spf, period = table.spf, table.period
+    limit = len(period) - 1
+    lucas = _zeroed("Q", limit + 1)
+    lucas[1] = 1
+    for m in range(2, limit + 1):
+        p = spf[m] or m
+        rest, pe = m // p, p
+        while rest % p == 0:
+            rest //= p
+            pe *= p
+        if rest > 1:
+            lucas[m] = math.lcm(lucas[pe], lucas[rest])
+        else:
+            primes = _sieve_bound(p, spf)[1]
+            lucas[m] = _pair_order((2, 1), m, period[m], (*primes, p))
+    return lucas

@@ -19,6 +19,7 @@ from pisano.numth import (
     multiplicative_order,
     powmod,
     primes_up_to,
+    smallest_prime_factors,
 )
 
 
@@ -58,6 +59,16 @@ def naive_divisors(n):
 def test_primes_up_to_matches_trial_division():
     for n in (0, 1, 2, 3, 10, 97, 100, 541):
         assert primes_up_to(n) == [k for k in range(2, n + 1) if trial_is_prime(k)]
+
+
+def test_smallest_prime_factors_match_trial_division():
+    for n in (0, 1, 2, 3, 4, 48, 49, 50):
+        assert len(smallest_prime_factors(n)) == n + 1
+    spf = smallest_prime_factors(10**4)
+    assert spf[0] == spf[1] == 0
+    for m in range(2, 10**4 + 1):
+        least = next(d for d in range(2, m + 1) if m % d == 0)
+        assert spf[m] == (0 if least == m else least), m
 
 
 def test_is_prime_small_exhaustive():
