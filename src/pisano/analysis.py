@@ -8,10 +8,12 @@ ClaimViolationError with the offending evidence attached.  Each scan is one
 sequential pass; records reach the sink in ascending m, so identical
 arguments produce byte-identical reports.
 
-The ratio, irreducible, Lucas and wall scans never factor m: they read h(m)
-from one sieve-built ``periods.period_table(limit)``, in which each h(p)
-and each lift is computed once and verified.  A limit too large for the
-tables is a DomainError before any work starts.
+No scan factors m: all five read h(m) from one sieve-built
+``periods.period_table(limit)``, in which each h(p) and each lift is
+computed once and verified, and the filter scan reads its primes off the
+same sieve.  Each scan takes that table as ``table=`` (``pisano scan
+--suite all`` builds one and hands it to every suite) or builds its own.
+A limit too large for the tables is a DomainError before any work starts.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
-from .numth import primes_up_to
-from .periods import TABLE_METHODS, lucas_period_table, period_table
-# Unused lucas_period stays: bench/tracer.py wraps it here.
+from .periods import TABLE_METHODS, PeriodTable, lucas_period_table, period_table
+from .theorems import FilterReport, _filter_report
+# Unused primes_up_to, lucas_period, theorem1_period and theorem2_period
+# stay: bench/tracer.py wraps them here.
+from .numth import primes_up_to  # noqa: F401
 from .periods import lucas_period  # noqa: F401
-from .theorems import FilterReport, theorem1_period, theorem2_period
+from .theorems import theorem1_period, theorem2_period  # noqa: F401
 
 
 class Flag(enum.Enum):
@@ -73,6 +77,8 @@ class ScanRecord:
         return self.m
 
     def flags_text(self) -> str:
+        if not self.flags:
+            return ""
         return ";".join(f.value for f in _FLAG_ORDER if f in self.flags)
 
     def csv_row(self) -> tuple:
@@ -165,6 +171,17 @@ def _check_limit(limit: int) -> None:
         raise DomainError(f"scan limit {limit} must be >= 1")
 
 
+def _table_for(limit: int, table: PeriodTable | None) -> PeriodTable:
+    """``table``, checked to cover exactly m <= limit, or a new
+    ``period_table(limit)`` when it is None."""
+    if table is None:
+        return period_table(limit)
+    if len(table.period) != limit + 1:
+        raise DomainError(
+            f"period table covers m <= {len(table.period) - 1}, not {limit}")
+    return table
+
+
 def _expected_equality_set(limit: int) -> list[int]:
     out, v = [], 10
     while v <= limit:
@@ -173,12 +190,14 @@ def _expected_equality_set(limit: int) -> list[int]:
     return out
 
 
-def ratio_scan(limit: int, emit=None) -> RatioScanSummary:
+def ratio_scan(limit: int, emit=None, *,
+               table: PeriodTable | None = None) -> RatioScanSummary:
     """h(m) for 1 <= m <= limit, asserting h(m) <= 6m everywhere and that
     equality happens exactly on {2 * 5^n}.  ``emit`` receives one ScanRecord
-    per m in ascending order."""
+    per m in ascending order; ``table`` is ``period_table(limit)``, built
+    here when not given."""
     _check_limit(limit)
-    table = period_table(limit)
+    table = _table_for(limit, table)
     periods, lifts, methods = table.period, table.escalations, table.method
     best_num, best_den = 0, 1
     attained: list[int] = []
@@ -215,11 +234,12 @@ def ratio_scan(limit: int, emit=None) -> RatioScanSummary:
                             tuple(attained), tuple(equality), guard_count)
 
 
-def irreducible_product_scan(limit: int, emit=None) -> IrreducibleScanSummary:
+def irreducible_product_scan(limit: int, emit=None, *,
+                             table: PeriodTable | None = None) -> IrreducibleScanSummary:
     """Over m <= limit built only from odd primes = +-2 (mod 5), assert the
     strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly)."""
     _check_limit(limit)
-    table = period_table(limit)
+    table = _table_for(limit, table)
     spf, periods, methods = table.spf, table.period, table.method
     # kept[m]: every prime of m is odd and = +-2 (mod 5), read as
     # p = 3, 7 (mod 10) for p = spf(m) and kept[m / p]
@@ -249,11 +269,12 @@ def irreducible_product_scan(limit: int, emit=None) -> IrreducibleScanSummary:
     return IrreducibleScanSummary(limit, checked, (best_num, best_den), best_at)
 
 
-def lucas_ratio_scan(limit: int, emit=None) -> LucasScanSummary:
+def lucas_ratio_scan(limit: int, emit=None, *,
+                     table: PeriodTable | None = None) -> LucasScanSummary:
     """Maximum Lucas-period ratio over m <= limit; for limit >= 6 asserts the
     maximum is exactly 4, attained only at m = 6."""
     _check_limit(limit)
-    periods = lucas_period_table(period_table(limit))
+    periods = lucas_period_table(_table_for(limit, table))
     best_num, best_den = 0, 1
     attained: list[int] = []
     for m in range(1, limit + 1):
@@ -278,18 +299,24 @@ def lucas_ratio_scan(limit: int, emit=None) -> LucasScanSummary:
     return LucasScanSummary(limit, limit, (best_num, best_den), tuple(attained))
 
 
-def filter_agreement_scan(prime_limit: int) -> FilterScanSummary:
+def filter_agreement_scan(prime_limit: int, *,
+                          table: PeriodTable | None = None) -> FilterScanSummary:
     """Run the divisor filters on every applicable prime <= prime_limit and
-    tally agreement with the true period.  Disagreements are listed, never
-    suppressed and never asserted away; only h(p) membership in the divisor
-    set (the divisibility theorem itself) is enforced."""
+    tally agreement with the true period, read from ``table`` (built here
+    when not given).  Disagreements are listed, never suppressed and never
+    asserted away; only h(p) membership in the divisor set (the divisibility
+    theorem itself) is enforced."""
     if prime_limit < 0:
         raise DomainError(f"prime limit {prime_limit} must be >= 0")
+    if prime_limit < 2:
+        return FilterScanSummary(prime_limit, ())
+    table = _table_for(prime_limit, table)
+    spf, periods = table.spf, table.period
     reports: list[FilterReport] = []
-    for p in primes_up_to(prime_limit):
-        if p in (2, 5):
+    for p in range(3, prime_limit + 1):
+        if spf[p] or p == 5:
             continue
-        report = theorem1_period(p) if p % 5 in (2, 3) else theorem2_period(p)
+        report = _filter_report(p, periods[p])
         if not report.true_period_in_divisors:
             raise ClaimViolationError(
                 f"h({p}) = {report.true_period} is not a divisor of the class"
@@ -300,14 +327,15 @@ def filter_agreement_scan(prime_limit: int) -> FilterScanSummary:
     return FilterScanSummary(prime_limit, tuple(reports))
 
 
-def wall_property_scan(limit: int, divisor_limit: int | None = None) -> WallScanSummary:
+def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
+                       table: PeriodTable | None = None) -> WallScanSummary:
     """Assert h(m) is even for 2 < m <= limit and h(n) | h(m) whenever
     n | m <= divisor_limit (defaults to limit)."""
     _check_limit(limit)
     div_limit = limit if divisor_limit is None else divisor_limit
     if div_limit > limit:
         raise DomainError("divisor_limit cannot exceed limit")
-    periods = period_table(limit).period
+    periods = _table_for(limit, table).period
 
     parity_violations = [(m, periods[m]) for m in range(3, limit + 1)
                          if periods[m] % 2]

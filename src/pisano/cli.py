@@ -34,6 +34,7 @@ from .periods import (
     classify_prime,
     lucas_period,
     period_bound,
+    period_table,
     pisano_period,
     prime_period,
 )
@@ -138,27 +139,27 @@ def cmd_fib_index(args) -> int:
 _SUITES = ("ratio", "irreducible", "lucas", "filters", "wall")
 
 
-def _run_suite(suite: str, args, emit, report_fh, fmt):
+def _run_suite(suite: str, limit: int, table, emit, report_fh, fmt):
     """Returns the suite's one-line summary.  Streams records into emit
-    (ratio/irreducible/lucas) or writes the report wholesale (filters)."""
-    limit = args.limit
+    (ratio/irreducible/lucas) or writes the report wholesale (filters);
+    every suite reads the one ``period_table(limit)`` passed as table."""
     if suite == "ratio":
-        s = ratio_scan(limit, emit)
+        s = ratio_scan(limit, emit, table=table)
         return (f"ratio: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}; "
                 f"equality set {_fmt_set(s.equality_set)}; "
                 f"lift guard triggered {s.lift_guard_count}x")
     if suite == "irreducible":
-        s = irreducible_product_scan(limit, emit)
+        s = irreducible_product_scan(limit, emit, table=table)
         return (f"irreducible: {s.checked} of {limit} moduli qualify; "
                 f"max ratio {_fmt_ratio(*s.max_ratio)} at m={s.max_at}; "
                 f"bound 4 holds")
     if suite == "lucas":
-        s = lucas_ratio_scan(limit, emit)
+        s = lucas_ratio_scan(limit, emit, table=table)
         return (f"lucas: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}")
     if suite == "filters":
-        s = filter_agreement_scan(limit)
+        s = filter_agreement_scan(limit, table=table)
         if report_fh is not None:
             writer = (write_filter_reports_json if fmt == "json"
                       else write_filter_reports_csv)
@@ -168,7 +169,7 @@ def _run_suite(suite: str, args, emit, report_fh, fmt):
             primes = [r.prime for r in s.disagreements]
             line += f"; disagreements at {_fmt_set(primes)}"
         return line
-    s = wall_property_scan(limit)
+    s = wall_property_scan(limit, table=table)
     return (f"wall: parity ok for {s.parity_checked} moduli; "
             f"divisibility ok for {s.divisibility_checked} pairs")
 
@@ -181,6 +182,7 @@ def cmd_scan(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    table = period_table(args.limit)
     summaries = []
     for suite in suites:
         fh = None
@@ -197,7 +199,7 @@ def cmd_scan(args) -> int:
             if wants_report and suite in ("ratio", "irreducible", "lucas"):
                 emit = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
             try:
-                summaries.append(_run_suite(suite, args, emit, fh, fmt))
+                summaries.append(_run_suite(suite, args.limit, table, emit, fh, fmt))
             finally:
                 if emit is not None:
                     emit.close()

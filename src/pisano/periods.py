@@ -90,14 +90,16 @@ def period_bound(p: int) -> int:
     return 2 * p + 2
 
 
-_PRIME_PERIOD_CACHE: dict[int, int] = {2: 3, 5: 20}
+# p -> (h(p), the primes of p's class bound); 2 and 5 have fixed bounds
+_PRIME_PERIOD_SPECIAL = {2: (3, (3,)), 5: (20, (2, 5))}
+_PRIME_PERIOD_CACHE: dict[int, tuple[int, tuple[int, ...]]] = dict(_PRIME_PERIOD_SPECIAL)
 _PRIME_POWER_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def clear_caches() -> None:
     """Drop memoized periods (timing tests want cold starts)."""
     _PRIME_PERIOD_CACHE.clear()
-    _PRIME_PERIOD_CACHE.update({2: 3, 5: 20})
+    _PRIME_PERIOD_CACHE.update(_PRIME_PERIOD_SPECIAL)
     _PRIME_POWER_CACHE.clear()
 
 
@@ -127,16 +129,18 @@ def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
     return multiple
 
 
-def _prime_period_value(p: int) -> int:
-    """h(p) for prime p: the order of (0, 1) mod p, divided down from the
-    class bound by the primes of the bound."""
+def _prime_period_value(p: int) -> tuple[int, tuple[int, ...]]:
+    """(h(p), the primes of p's class bound) for prime p: the order of
+    (0, 1) mod p, divided down from the class bound by those primes, which
+    also hold every prime of h(p)."""
     cached = _PRIME_PERIOD_CACHE.get(p)
     if cached is not None:
         return cached
     bound = p - 1 if p % 5 in (1, 4) else 2 * p + 2
-    period = _pair_order((0, 1), p, bound, factorize(bound).primes())
-    _PRIME_PERIOD_CACHE[p] = period
-    return period
+    primes = factorize(bound).primes()
+    entry = _pair_order((0, 1), p, bound, primes), primes
+    _PRIME_PERIOD_CACHE[p] = entry
+    return entry
 
 
 def prime_period(p: int) -> PeriodResult:
@@ -144,7 +148,7 @@ def prime_period(p: int) -> PeriodResult:
     the class bound; 2 -> 3 and 5 -> 20."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return PeriodResult(p, _prime_period_value(p), Method.PRIME_DIVISOR_SEARCH)
+    return PeriodResult(p, _prime_period_value(p)[0], Method.PRIME_DIVISOR_SEARCH)
 
 
 def _prime_power_value(p: int, e: int) -> tuple[int, int]:
@@ -154,7 +158,7 @@ def _prime_power_value(p: int, e: int) -> tuple[int, int]:
     cached = _PRIME_POWER_CACHE.get(key)
     if cached is not None:
         return cached
-    candidate = p ** (e - 1) * _prime_period_value(p)
+    candidate = p ** (e - 1) * _prime_period_value(p)[0]
     if candidate > U64_MAX:
         raise PeriodOverflowError(
             f"candidate period {candidate} for {p}^{e} exceeds the 64-bit range"
@@ -211,15 +215,15 @@ def lucas_period(m: int) -> PeriodResult:
 
     The Lucas sequence obeys the same recurrence, so its start pair returns
     at h(m) and its period divides h(m).  It is the order of (2, 1), divided
-    down from h(m) by the primes that can divide h(m): those of h(p) for
-    each p | m, and p itself when p^2 | m.
+    down from h(m) by primes that hold every prime of h(m): those of the
+    class bound of each p | m (h(p) divides it), and p itself when p^2 | m.
     """
     _check_modulus(m)
     pairs = _factor_pairs(m)
     period, escalations, _ = _pisano_value(pairs)
     primes = {p for p, e in pairs if e > 1}
     for p, _ in pairs:
-        primes.update(factorize(_prime_period_value(p)).primes())
+        primes.update(_prime_period_value(p)[1])
     period = _pair_order((2, 1), m, period, primes)
     return PeriodResult(m, period, Method.PRIME_DIVISOR_SEARCH, escalations)
 

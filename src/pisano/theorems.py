@@ -20,7 +20,7 @@ from .numth import (
     mod_sqrt,
     multiplicative_order,
 )
-from .periods import PrimeClass, classify_prime, period_bound, pisano_period, prime_period
+from .periods import PrimeClass, classify_prime, pisano_period, prime_period
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,22 @@ def _require_class(p: int, wanted: PrimeClass) -> None:
         raise DomainError(f"{p} is {cls.value}, expected {wanted.value}")
 
 
+def _theorem1_filter(p: int, divs) -> list[int]:
+    half_pp1 = p * (p + 1) // 2
+    return [d for d in divs if half_pp1 % d and (p + 1) % d and (3 * (p - 1)) % d]
+
+
+def _theorem2_filter(p: int, divs) -> list[int]:
+    return [d for d in divs if (p + 1) % d and d % 2 == 0]
+
+
 def theorem1_candidates(p: int) -> list[int]:
     """Divisors d of 2p+2 with d not dividing p(p+1)/2, p+1, or 3(p-1).
 
     Applies to odd primes p = +-2 (mod 5).
     """
     _require_class(p, PrimeClass.IRREDUCIBLE)
-    half_pp1 = p * (p + 1) // 2
-    return [
-        d
-        for d in divisors(factorize(2 * p + 2))
-        if half_pp1 % d and (p + 1) % d and (3 * (p - 1)) % d
-    ]
+    return _theorem1_filter(p, divisors(factorize(2 * p + 2)))
 
 
 def theorem2_candidates(p: int) -> list[int]:
@@ -95,14 +99,16 @@ def theorem2_candidates(p: int) -> list[int]:
     Applies to primes p = +-1 (mod 5).
     """
     _require_class(p, PrimeClass.SPLIT)
-    return [
-        d
-        for d in divisors(factorize(p - 1))
-        if (p + 1) % d and d % 2 == 0
-    ]
+    return _theorem2_filter(p, divisors(factorize(p - 1)))
 
 
-def _filter_report(p: int, candidates: list[int]) -> FilterReport:
+def _filter_report(p: int, true_period: int) -> FilterReport:
+    """The filter of p's class run against h(p) = ``true_period``; p must be
+    a prime other than 2 and 5 (not checked here)."""
+    split = p % 5 in (1, 4)
+    bound = p - 1 if split else 2 * p + 2
+    all_divisors = divisors(factorize(bound))
+    candidates = (_theorem2_filter if split else _theorem1_filter)(p, all_divisors)
     # the filter's own acceptance test is F_{d+1} = 1 (mod p), hi alone
     filter_answer = None
     for d in candidates:
@@ -111,22 +117,24 @@ def _filter_report(p: int, candidates: list[int]) -> FilterReport:
             break
     return FilterReport(
         prime=p,
-        bound=period_bound(p),
-        all_divisors=divisors(factorize(period_bound(p))),
+        bound=bound,
+        all_divisors=all_divisors,
         surviving=tuple(candidates),
         filter_answer=filter_answer,
-        true_period=prime_period(p).period,
+        true_period=true_period,
     )
 
 
 def theorem1_period(p: int) -> FilterReport:
     """Run the 2p+2 divisor filter and report its answer next to h(p)."""
-    return _filter_report(p, theorem1_candidates(p))
+    _require_class(p, PrimeClass.IRREDUCIBLE)
+    return _filter_report(p, prime_period(p).period)
 
 
 def theorem2_period(p: int) -> FilterReport:
     """Run the p-1 divisor filter and report its answer next to h(p)."""
-    return _filter_report(p, theorem2_candidates(p))
+    _require_class(p, PrimeClass.SPLIT)
+    return _filter_report(p, prime_period(p).period)
 
 
 def fibonacci_primitive_root(p: int) -> FprResult:

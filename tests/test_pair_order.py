@@ -50,7 +50,7 @@ def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
     # the lift starts at 7 * 112 mod 49 and must divide one 7 out.
     clear_caches()
     try:
-        monkeypatch.setitem(periods._PRIME_PERIOD_CACHE, 7, 7 * 16)
+        monkeypatch.setitem(periods._PRIME_PERIOD_CACHE, 7, (7 * 16, (2,)))
         res = prime_power_period(7, 2)
         assert (res.period, res.lift_escalations) == (112, 1)
     finally:

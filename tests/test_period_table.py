@@ -29,6 +29,7 @@ from pisano.periods import (
     period_table,
     pisano_period,
 )
+from pisano.theorems import theorem1_period, theorem2_period
 
 LIMIT = 5000
 BRUTE_LIMIT = 2000
@@ -66,8 +67,9 @@ def test_period_tables_match_brute_oracle():
 
 def test_period_table_leaves_the_point_caches_alone():
     clear_caches()
+    cold = dict(periods._PRIME_PERIOD_CACHE)
     period_table(1000)
-    assert periods._PRIME_PERIOD_CACHE == {2: 3, 5: 20}
+    assert periods._PRIME_PERIOD_CACHE == cold
     assert periods._PRIME_POWER_CACHE == {}
 
 
@@ -164,6 +166,25 @@ def test_period_json_flags_an_injected_lift_escalation(wall_sun_sun_seven, capsy
 def test_a_limit_too_large_for_the_tables_is_a_domain_error(scan):
     with pytest.raises(DomainError, match="does not fit in memory"):
         scan(MODULUS_MAX)
+
+
+@pytest.mark.parametrize("scan", [ratio_scan, irreducible_product_scan, lucas_ratio_scan,
+                                  wall_property_scan, filter_agreement_scan])
+def test_a_table_for_another_limit_is_a_domain_error(scan):
+    for other in (299, 301):
+        with pytest.raises(DomainError, match="period table covers"):
+            scan(300, table=period_table(other))
+
+
+@pytest.mark.parametrize("prime_limit", [0, 1, 2, 3, 5, 2000])
+def test_filter_scan_matches_the_theorem_reports(prime_limit):
+    summary = filter_agreement_scan(prime_limit)
+    expected = [theorem1_period(p) if p % 5 in (2, 3) else theorem2_period(p)
+                for p in primes_up_to(prime_limit) if p not in (2, 5)]
+    assert list(summary.reports) == expected
+    if prime_limit >= 1:
+        table = period_table(prime_limit)
+        assert filter_agreement_scan(prime_limit, table=table) == summary
 
 
 def test_cli_scan_beyond_the_tables_exits_one_without_a_traceback():

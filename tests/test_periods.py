@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pisano import periods
 from pisano.errors import DomainError, PeriodOverflowError
 from pisano.fibmod import Method, brute_period, fib_pair, lucas_brute_period, lucas_pair
 from pisano.numth import MODULUS_MAX, U64_MAX, factorize, primes_up_to
@@ -257,7 +258,10 @@ def test_prime_power_at_first_power_is_prime_period():
 
 def test_results_are_deterministic_across_calls():
     clear_caches()
-    first = [pisano_period(m) for m in range(1, 300)]
+    first = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
     clear_caches()
-    second = [pisano_period(m) for m in range(1, 300)]
+    # cold again: only the fixed entries for 2 and 5 survive
+    assert set(periods._PRIME_PERIOD_CACHE) == {2, 5}
+    assert periods._PRIME_POWER_CACHE == {}
+    second = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
     assert first == second
