@@ -3,8 +3,8 @@
 The period h(m) is computed by composition: factor m, find h(p) for each
 prime as the order of the pair (0, 1) by dividing primes out of its class
 bound (p - 1 or 2p + 2), find h(p^e) the same way from p^(e-1) h(p), and
-take the lcm.  The Lucas period is the order of (2, 1), divided down from
-h(m).
+take the lcm.  The Lucas period is the lcm of each prime power's order of
+(2, 1), divided down from h(p^e).
 A brute-force oracle and range scans over the global bounds (h(m) <= 6m and
 friends) keep the fast paths honest.
 """

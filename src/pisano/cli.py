@@ -27,17 +27,19 @@ from .analysis import (
     write_filter_reports_json,
 )
 from .errors import ClaimViolationError, PisanoError
-from .fibmod import fib_pair
-from .numth import factorize, gcd
+from .fibmod import _check_modulus, fib_pair
+from .numth import Factorization, _factor_pairs, gcd
 from .periods import (
     PrimeClass,
+    _period,
     classify_prime,
-    lucas_period,
     period_bound,
     period_table,
-    pisano_period,
     prime_period,
 )
+# Unused factorize, lucas_period, pisano_period: bench/tracer.py wraps them here.
+from .numth import factorize  # noqa: F401
+from .periods import lucas_period, pisano_period  # noqa: F401
 from .theorems import fib_index_period, fibonacci_primitive_root
 
 
@@ -78,7 +80,9 @@ def _fmt_set(values) -> str:
 
 def cmd_period(args) -> int:
     m = args.m
-    result = lucas_period(m) if args.lucas else pisano_period(m)
+    _check_modulus(m)
+    pairs = _factor_pairs(m)  # factored once, for the period and the print
+    result = _period(m, pairs, lucas=args.lucas)
     if args.json:
         flags = period_flags(m, result.period, result.lift_escalations)
         record = ScanRecord(m, result.period, result.method, frozenset(flags))
@@ -87,7 +91,7 @@ def cmd_period(args) -> int:
     name = "h_L" if args.lucas else "h"
     print(f"{name}({m}) = {result.period}")
     print(f"method: {result.method.value}")
-    print(f"factors: {m} = {factorize(m) if m > 1 else 1}")
+    print(f"factors: {m} = {Factorization(tuple(pairs))}")
     return 0
 
 

@@ -130,12 +130,14 @@ def lucas_pair(n: int, m: int) -> ResiduePair:
 
 
 def fib_exact(n: int) -> int:
-    """Exact integer F_n (no modulus)."""
+    """Exact integer F_n (no modulus), by the fast doubling of _fib_pair_ints."""
     if n < 0:
         raise DomainError(f"index {n} must be >= 0")
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

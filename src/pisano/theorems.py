@@ -20,7 +20,13 @@ from .numth import (
     mod_sqrt,
     multiplicative_order,
 )
-from .periods import PrimeClass, classify_prime, pisano_period, prime_period
+from .periods import (
+    PrimeClass,
+    _class_bound,
+    classify_prime,
+    pisano_period,
+    prime_period,
+)
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def _filter_report(p: int, true_period: int) -> FilterReport:
     """The filter of p's class run against h(p) = ``true_period``; p must be
     a prime other than 2 and 5 (not checked here)."""
     split = p % 5 in (1, 4)
-    bound = p - 1 if split else 2 * p + 2
+    bound = _class_bound(p)[0]
     all_divisors = divisors(factorize(bound))
     candidates = (_theorem2_filter if split else _theorem1_filter)(p, all_divisors)
     # the filter's own acceptance test is F_{d+1} = 1 (mod p), hi alone

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pisano import analysis, cli, periods
+from pisano import analysis, cli, numth, periods
 from pisano.cli import main
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
@@ -63,12 +63,32 @@ def test_period_overflow_is_domain_error(capsys):
 
 def test_period_beyond_64_bits_is_an_error(capsys):
     # m = 10 p lies in the domain, but h(m) = lcm(60, 2p + 2) > 2^64 - 1
-    for argv in (("period", "9223372036854772630"),
-                 ("period", "9223372036854772630", "--lucas")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "exceeds the 64-bit range" in err
+    code, out, err = run(capsys, "period", "9223372036854772630")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the 64-bit range" in err
+    # h_L(m) = lcm(3, 4, h_L(p)) fits, so the Lucas query answers
+    code, out, err = run(capsys, "period", "9223372036854772630", "--lucas")
+    assert (code, err) == (0, "")
+    assert out.startswith("h_L(9223372036854772630) = 5534023222112863584\n")
+
+
+def test_period_factors_the_modulus_once(capsys, monkeypatch):
+    m = 2147483629 * 2147483647
+    periods.pisano_period(m)  # warm the memo: only m itself is left to factor
+    real, split = numth._brent_rho, []
+
+    def brent_rho(n, rng):
+        split.append(n)
+        return real(n, rng)
+
+    monkeypatch.setattr(numth, "_brent_rho", brent_rho)
+    for flags in (("--lucas",), ("--json",), ()):
+        split.clear()
+        code, out, _ = run(capsys, "period", str(m), *flags)
+        assert code == 0
+        assert split == [m], flags
+    assert out.endswith(f"factors: {m} = 2147483629 * 2147483647\n")
 
 
 def test_period_json_error_object(capsys):

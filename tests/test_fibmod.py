@@ -109,10 +109,15 @@ def test_lucas_pair_large_random():
 
 def test_fib_exact_values():
     a, b = 0, 1
-    for n in range(300):
-        assert fib_exact(n) == a
+    for n in range(1001):
+        assert fib_exact(n) == a, n
         a, b = b, a + b
     assert fib_exact(92) == 7540113804746346429
+
+
+def test_fib_exact_cassini_identity_at_1e5():
+    n = 10**5
+    assert fib_exact(n + 1) * fib_exact(n - 1) - fib_exact(n) ** 2 == (-1) ** n
 
 
 def test_fib_exact_domain():

@@ -1,5 +1,6 @@
 """The pair-order primitive behind h(p), the prime-power lift and h_L(m),
-checked directly and against the increasing-divisor search it replaced."""
+checked directly and against the searches it replaced: the increasing-divisor
+search for h(p) and the union-of-primes order search for h_L(m)."""
 
 import random
 
@@ -8,8 +9,16 @@ import pytest
 from pisano import periods
 from pisano.errors import ClaimViolationError
 from pisano.fibmod import fib_pair
-from pisano.numth import divisors, factorize, is_prime, primes_up_to
-from pisano.periods import _pair_order, clear_caches, prime_period, prime_power_period
+from pisano.numth import MODULUS_MAX, divisors, factorize, is_prime, primes_up_to
+from pisano.periods import (
+    _pair_order,
+    clear_caches,
+    lucas_period,
+    period_bound,
+    pisano_period,
+    prime_period,
+    prime_power_period,
+)
 
 
 def divisor_search_period(p: int) -> int:
@@ -22,6 +31,17 @@ def divisor_search_period(p: int) -> int:
         if fib_pair(d, p).as_tuple() == (0, 1):
             return d
     raise AssertionError(f"no divisor of {bound} is a period of {p}")
+
+
+def union_search_lucas_period(m: int) -> int:
+    """Reference h_L(m): the order of (2, 1) mod m itself, divided down from
+    h(m) by the union of every p | m's class-bound primes, plus p when
+    p^2 | m (the search lucas_period ran before it went per prime power)."""
+    pairs = list(factorize(m)) if m > 1 else []
+    primes = {p for p, e in pairs if e > 1}
+    for p, _ in pairs:
+        primes.update(factorize(period_bound(p)).primes())
+    return _pair_order((2, 1), m, pisano_period(m).period, sorted(primes))
 
 
 def _random_prime(rng: random.Random, bits: int, residues) -> int:
@@ -46,14 +66,23 @@ def test_pair_order_rejects_a_multiple_that_is_not_a_return_time():
 
 
 def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
-    # A cache entry of p * h(p) stands in for a prime with h(p^2) = h(p):
-    # the lift starts at 7 * 112 mod 49 and must divide one 7 out.
+    # 7 stands in for a prime with h(p^2) = h(p): mod 49 the pair (0, 1)
+    # seems to return at h(7) = 16, so the lift from 7 * 16 divides one 7 out.
+    real = periods._fib_pair_ints
+
+    def fib_pair_ints(n, m):
+        if m == 49 and n % 16 == 0:
+            return 0, 1
+        return real(n, m)
+
     clear_caches()
     try:
-        monkeypatch.setitem(periods._PRIME_PERIOD_CACHE, 7, (7 * 16, (2,)))
+        monkeypatch.setattr(periods, "_fib_pair_ints", fib_pair_ints)
         res = prime_power_period(7, 2)
-        assert (res.period, res.lift_escalations) == (112, 1)
+        assert (res.period, res.lift_escalations) == (16, 1)
+        assert pisano_period(2 * 49).lift_escalations == 1
     finally:
+        monkeypatch.undo()
         clear_caches()
     res = prime_power_period(7, 2)
     assert (res.period, res.lift_escalations) == (112, 0)
@@ -72,3 +101,17 @@ def test_prime_period_matches_divisor_search_at_64_bits(residues):
         for _ in range(2):
             p = _random_prime(rng, bits, residues)
             assert prime_period(p).period == divisor_search_period(p), p
+
+
+def test_lucas_period_matches_union_search_to_5000():
+    clear_caches()
+    for m in range(1, 5001):
+        assert lucas_period(m).period == union_search_lucas_period(m), m
+
+
+def test_lucas_period_matches_union_search_at_64_bits():
+    rng = random.Random(6364)
+    for bits in (60, 61, 62, 63):
+        for _ in range(10):
+            m = rng.randrange(2 ** (bits - 1), min(2**bits, MODULUS_MAX + 1))
+            assert lucas_period(m).period == union_search_lucas_period(m), m

@@ -67,10 +67,8 @@ def test_period_tables_match_brute_oracle():
 
 def test_period_table_leaves_the_point_caches_alone():
     clear_caches()
-    cold = dict(periods._PRIME_PERIOD_CACHE)
-    period_table(1000)
-    assert periods._PRIME_PERIOD_CACHE == cold
-    assert periods._PRIME_POWER_CACHE == {}
+    lucas_period_table(period_table(1000))
+    assert periods._prime_power.cache_info().currsize == 0
 
 
 def test_ratio_scan_records_match_point_path():

@@ -190,12 +190,23 @@ def test_periods_at_the_domain_boundaries():
     m = 2 * 5**26
     assert pisano_period(m).period == 12 * 5**26 == 6 * m
     assert 6 * m < U64_MAX
-    # 10 p is in the domain, but lcm(60, 2p + 2) > 2^64 - 1
+    # 13^17 is in the domain, but its lift candidate 13^16 * h(13) is not
+    assert 13**17 <= MODULUS_MAX < 13**16 * prime_period(13).period
+    for period in (pisano_period, lucas_period):
+        with pytest.raises(PeriodOverflowError, match=r"for 13\^17 exceeds"):
+            period(13**17)
+    # 10 p is in the domain, but h(10 p) = lcm(60, 2p + 2) > 2^64 - 1 ...
     p = 922337203685477263
     assert p % 5 == 3 and 10 * p <= MODULUS_MAX
-    for period in (pisano_period, lucas_period):
-        with pytest.raises(PeriodOverflowError):
-            period(10 * p)
+    with pytest.raises(PeriodOverflowError):
+        pisano_period(10 * p)
+    # ... while h_L(10 p) = lcm(3, 4, h_L(p)) fits: the (2, 1) pair returns
+    # there and at no h_L / q
+    h_lucas = lucas_period(10 * p).period
+    assert h_lucas == 5534023222112863584
+    assert lucas_pair(h_lucas, 10 * p).as_tuple() == (2, 1)
+    for q in factorize(h_lucas).primes():
+        assert lucas_pair(h_lucas // q, 10 * p).as_tuple() != (2, 1), q
 
 
 @pytest.mark.parametrize("m, h, h_lucas, method", [
@@ -260,8 +271,7 @@ def test_results_are_deterministic_across_calls():
     clear_caches()
     first = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
     clear_caches()
-    # cold again: only the fixed entries for 2 and 5 survive
-    assert set(periods._PRIME_PERIOD_CACHE) == {2, 5}
-    assert periods._PRIME_POWER_CACHE == {}
+    # cold again: the prime-power memo is empty
+    assert periods._prime_power.cache_info().currsize == 0
     second = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
     assert first == second
