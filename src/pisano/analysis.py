@@ -210,19 +210,21 @@ def ratio_scan(limit: int, emit=None, *,
                 f"6m bound violated: h({m}) = {period} > {6 * m}",
                 details=[(m, period)],
             )
-        flags = period_flags(m, period, lifts[m])
-        if Flag.RATIO_SIX in flags:
+        if period == 6 * m:
             equality.append(m)
+        if lifts[m]:
+            guard_count += 1
         cross_new, cross_best = period * best_den, best_num * m
-        if cross_new > cross_best:
+        new_maximum = cross_new > cross_best
+        if new_maximum:
             best_num, best_den = period, m
             attained = [m]
-            flags.add(Flag.NEW_MAXIMUM)
         elif cross_new == cross_best:
             attained.append(m)
-        if Flag.LIFT_GUARD_TRIGGERED in flags:
-            guard_count += 1
         if emit is not None:
+            flags = period_flags(m, period, lifts[m])
+            if new_maximum:
+                flags.add(Flag.NEW_MAXIMUM)
             emit(ScanRecord(m, period, TABLE_METHODS[methods[m]], frozenset(flags)))
     expected = _expected_equality_set(limit)
     if equality != expected:

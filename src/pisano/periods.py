@@ -6,7 +6,10 @@ while the pair still returns.  One recipe serves point queries and range
 tables alike: h(p) is divided down from the class bound (2p+2 for
 p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and the
 Lucas period h_L(p^e), the order of (2, 1), from h(p^e); prime powers
-compose by lcm.
+compose by lcm.  For p = +-1 mod 5 the return test at n is the builtin
+pow(g, n, p) == 1 with n even, for a root g of x^2 - x - 1; for
+p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because h(p)
+divides 2p+2 but not p+1.
 
 Point queries factor m and memoize each prime power in ``_prime_power``;
 ``clear_caches()`` empties that memo.  Range scans use ``period_table(limit)``
@@ -38,6 +41,7 @@ from .numth import (  # noqa: F401
     U64_MAX,
     _factor_pairs,
     _sieve_primes,
+    _sqrt_mod_prime,
     _zeroed,
     divisors,
     factorize,
@@ -50,8 +54,11 @@ from .numth import (  # noqa: F401
 class PrimeClass(enum.Enum):
     """Trichotomy of primes by residue mod 5, with 2 and 5 set apart.
 
-    SPLIT: x^2 - x - 1 has two roots mod p, so h(p) | p - 1.
-    IRREDUCIBLE: no roots mod p, so h(p) | 2p + 2.
+    SPLIT: x^2 - x - 1 has two roots g and -1/g mod p, so h(p) | p - 1, and
+    (0, 1) returns at n exactly when n is even and g^n = 1.
+    IRREDUCIBLE: no roots mod p; the root phi in GF(p^2) has
+    phi^(p+1) = -1, so h(p) | 2p + 2 but not p + 1, and
+    v2(h(p)) = v2(2p + 2).
     """
 
     SPECIAL_TWO = "special2"
@@ -122,6 +129,34 @@ def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
     return multiple
 
 
+def _prime_order(p: int, bound: int, primes) -> int:
+    """h(p) for a prime p, divided down from its class bound ``bound`` by
+    the bound's primes ``primes``, as ``_class_bound`` gives them.
+
+    Split p: the roots g and -1/g of x^2 - x - 1 are distinct, so (0, 1)
+    returns at n exactly when n is even and g^n = 1, which the builtin pow
+    tests; the result is then checked by one fast doubling.  Any other p
+    keeps the bound's power of 2 and goes through ``_pair_order``, whose
+    result has returned by construction: an irreducible h(p) divides 2p + 2
+    but not p + 1, so v2(h(p)) = v2(2p + 2), and h(2) = 3, h(5) = 20.
+    """
+    if p % 5 not in (1, 4):
+        return _pair_order((0, 1), p, bound, [q for q in primes if q != 2])
+    g = (1 + _sqrt_mod_prime(5, p)) * ((p + 1) // 2) % p
+    if (g * g - g - 1) % p or 2 * g % p == 1:
+        raise ClaimViolationError(f"{g} is not a simple root of x^2 - x - 1 mod {p}")
+    n = bound
+    for q in primes:
+        while n % q == 0 and n // q % 2 == 0 and pow(g, n // q, p) == 1:
+            n //= q
+    if _fib_pair_ints(n, p) != (0, 1):
+        raise ClaimViolationError(
+            f"(0, 1) does not return after {n} steps mod {p};"
+            " the root test failed (is the input prime?)"
+        )
+    return n
+
+
 def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     """(h(p^e), lift escalations) for pe = p^e, e >= 2, from h(p) = ``period``:
     the order of (0, 1) mod p^e, divided down by p from p^(e-1) h(p);
@@ -154,7 +189,7 @@ def _prime_power(p: int, e: int) -> tuple[int, int, tuple[int, ...]]:
         return (*_lift(p, p**e, period), primes)
     # factorize is looked up here at call time, where bench/tracer.py counts it
     bound, primes = _class_bound(p, lambda n: factorize(n).primes())
-    return _pair_order((0, 1), p, bound, primes), 0, primes
+    return _prime_order(p, bound, primes), 0, primes
 
 
 def clear_caches() -> None:
@@ -258,8 +293,7 @@ def period_table(limit: int) -> PeriodTable:
     for m in range(2, limit + 1):
         p = spf[m]
         if not p:
-            bound, primes = _class_bound(m, sieve_primes)
-            period[m] = _pair_order((0, 1), m, bound, primes)
+            period[m] = _prime_order(m, *_class_bound(m, sieve_primes))
             method[m] = 1  # PRIME_DIVISOR_SEARCH
             continue
         rest = m // p

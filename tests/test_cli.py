@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pisano import analysis, cli, numth, periods
 from pisano.cli import main
 
@@ -267,9 +269,10 @@ def test_scan_starts_no_process(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
-def test_scan_all_matches_the_pinned_digests(tmp_path, capsys):
-    pins = json.loads(PINS.read_text(encoding="utf-8"))["300"]
-    code, out, _ = run(capsys, "scan", "--suite", "all", "--limit", "300",
+@pytest.mark.parametrize("limit", ["300", "20000"])
+def test_scan_all_matches_the_pinned_digests(limit, tmp_path, capsys):
+    pins = json.loads(PINS.read_text(encoding="utf-8"))[limit]
+    code, out, _ = run(capsys, "scan", "--suite", "all", "--limit", limit,
                        "--out", str(tmp_path))
     assert code == 0
     digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}

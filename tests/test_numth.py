@@ -9,6 +9,7 @@ from pisano.numth import (
     U64_MAX,
     DivisorSet,
     Factorization,
+    _sqrt_mod_prime,
     divisors,
     factorize,
     gcd,
@@ -250,6 +251,27 @@ def test_mod_sqrt_large_prime():
     assert got is not None
     r, s = got
     assert r * r % p == 5 and s == p - r
+
+
+def test_sqrt_of_five_and_factoring_match_sympy_at_64_bits():
+    # sympy is a second oracle, independent of this module's arithmetic
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5061)
+    split = []
+    while len(split) < 24:
+        p = rng.randrange(2**60, 2**63) | 1
+        if p % 5 in (1, 4) and sympy.isprime(p):
+            split.append(p)
+    for p in split:
+        r = _sqrt_mod_prime(5, p)
+        assert sorted({r, p - r}) == sorted(sympy.sqrt_mod(5, p, all_roots=True)), p
+    for _ in range(40):
+        n = rng.randrange(2**63, 2**64)
+        assert is_prime(n) == sympy.isprime(n), n
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+    for p in split:
+        assert is_prime(p)
+        assert dict(factorize(p - 1).factors) == sympy.factorint(p - 1), p
 
 
 def test_mod_sqrt_domain():

@@ -12,6 +12,7 @@ from pisano.fibmod import fib_pair
 from pisano.numth import MODULUS_MAX, divisors, factorize, is_prime, primes_up_to
 from pisano.periods import (
     _pair_order,
+    _prime_order,
     clear_caches,
     lucas_period,
     period_bound,
@@ -86,6 +87,14 @@ def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
         clear_caches()
     res = prime_power_period(7, 2)
     assert (res.period, res.lift_escalations) == (112, 0)
+
+
+def test_prime_order_checks_a_split_result_by_fast_doubling():
+    # 5 is no return time mod 11 (h(11) = 10); the pow test only divides
+    # down, so the final fast doubling must catch the bad bound
+    with pytest.raises(ClaimViolationError, match="does not return after 5 steps mod 11"):
+        _prime_order(11, 5, (5,))
+    assert _prime_order(11, 10, (2, 5)) == 10
 
 
 def test_prime_period_matches_divisor_search_below_1e5():

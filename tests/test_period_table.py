@@ -18,16 +18,19 @@ from pisano.analysis import (
     wall_property_scan,
 )
 from pisano.cli import main
-from pisano.errors import DomainError
+from pisano.errors import ClaimViolationError, DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
 from pisano.numth import MODULUS_MAX, factorize, primes_up_to
 from pisano.periods import (
     TABLE_METHODS,
+    _class_bound,
+    _pair_order,
     clear_caches,
     lucas_period,
     lucas_period_table,
     period_table,
     pisano_period,
+    prime_period,
 )
 from pisano.theorems import theorem1_period, theorem2_period
 
@@ -63,6 +66,35 @@ def test_period_tables_match_brute_oracle():
     for m in range(1, BRUTE_LIMIT + 1):
         assert table.period[m] == brute_period(m).period, m
         assert lucas[m] == lucas_brute_period(m).period, m
+
+
+def test_period_table_primes_match_the_pair_order_recipe():
+    # the recipe the table ran before the split-prime pow test: the order of
+    # (0, 1) divided down from the class bound by every prime of the bound
+    table = period_table(10**5)
+    primes_of = lambda n: factorize(n).primes()  # noqa: E731
+    for p in primes_up_to(10**5):
+        assert table.period[p] == _pair_order((0, 1), p, *_class_bound(p, primes_of)), p
+
+
+@pytest.fixture
+def corrupt_root_of_101(monkeypatch):
+    """Make the square root of 5 mod 101, a split prime, come back one too
+    large, so g is not a root of x^2 - x - 1."""
+    real = periods._sqrt_mod_prime
+    clear_caches()
+    monkeypatch.setattr(periods, "_sqrt_mod_prime",
+                        lambda a, p: real(a, p) + (p == 101))
+    yield
+    clear_caches()
+
+
+def test_a_corrupt_root_is_a_claim_violation(corrupt_root_of_101):
+    for run in (lambda: prime_period(101), lambda: period_table(200)):
+        with pytest.raises(ClaimViolationError, match="not a simple root .* mod 101"):
+            run()
+    assert prime_period(89).period == 44
+    assert period_table(100).period[89] == 44
 
 
 def test_period_table_leaves_the_point_caches_alone():

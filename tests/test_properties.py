@@ -1,16 +1,19 @@
-"""Property tests of the lcm law the period table rests on: a pair returns
+"""Property tests of the laws the period table rests on: a pair returns
 mod lcm(a, b) exactly when it returns mod a and mod b, so h(lcm(a, b)) =
-lcm(h(a), h(b)), and the same for the Lucas period.  Skipped when
-hypothesis is not installed."""
+lcm(h(a), h(b)), and the same for the Lucas period; and h(p) is the order
+of (0, 1) mod a prime p, so (0, 1) returns at h(p) and at no h(p) / q.
+Skipped when hypothesis is not installed."""
 
 import math
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from pisano.periods import lucas_period, pisano_period  # noqa: E402
+from pisano.fibmod import fib_pair  # noqa: E402
+from pisano.numth import factorize, is_prime  # noqa: E402
+from pisano.periods import lucas_period, pisano_period, prime_period  # noqa: E402
 
 # lcm(a, b) < 2^62 stays inside the modulus domain and its period below 2^64
 moduli = st.integers(min_value=1, max_value=2**31 - 1)
@@ -41,3 +44,36 @@ def test_periods_of_an_lcm_with_shared_primes(a, b):
                                                pisano_period(b).period)
     assert lucas_period(c).period == math.lcm(lucas_period(a).period,
                                               lucas_period(b).period)
+
+
+# a 2- to 63-bit start and a class; the prime is the largest of that class
+# at or below the start, so both classes are drawn at every size
+starts = st.integers(min_value=2, max_value=63).flatmap(
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
+classes = st.sampled_from([(1, 4), (2, 3)])
+
+
+def prime_at_or_below(n: int, residues) -> int:
+    while n >= 2 and not (n % 5 in residues and is_prime(n)):
+        n -= 1
+    assume(n >= 2)
+    return n
+
+
+prime_law = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@prime_law
+@given(starts, classes)
+def test_the_start_pair_returns_at_the_prime_period(start, residues):
+    p = prime_at_or_below(start, residues)
+    assert fib_pair(prime_period(p).period, p).as_tuple() == (0, 1)
+
+
+@prime_law
+@given(starts, classes)
+def test_the_start_pair_returns_at_no_prime_period_over_q(start, residues):
+    p = prime_at_or_below(start, residues)
+    h = prime_period(p).period
+    for q in factorize(h).primes():
+        assert fib_pair(h // q, p).as_tuple() != (0, 1), (p, q)
