@@ -6,7 +6,9 @@ Ratios are exact integer pairs throughout; floating point never enters a
 stored value, so 6m equality cannot alias.  Hard assertions raise
 ClaimViolationError with the offending evidence attached.  Each scan is one
 sequential pass; records reach the sink in ascending m, so identical
-arguments produce byte-identical reports.
+arguments produce byte-identical reports.  The three record scans are each
+one row generator: its CSV rows stream into a sink's ``write_rows`` (the
+CLI's path), into a library ``emit`` as ScanRecords, or are never built.
 
 No scan factors m: all five read h(m) from one sieve-built
 ``periods.period_table(limit)``, in which each h(p) and each lift is
@@ -55,6 +57,21 @@ _FLAG_ORDER = (
 CSV_COLUMNS = ("m", "period", "ratio_num", "ratio_den", "method", "flags")
 
 
+def _flags_text(flags) -> str:
+    return ";".join(f.value for f in _FLAG_ORDER if f in flags)
+
+
+# The flags a scan row can carry; a row indexes the flags text of each
+# subset by the bits 4 * RatioSix + 2 * NewMaximum + LiftGuardTriggered.
+_ROW_FLAGS = (Flag.RATIO_SIX, Flag.NEW_MAXIMUM, Flag.LIFT_GUARD_TRIGGERED)
+_ROW_FLAG_SETS = tuple(frozenset(f for i, f in enumerate(_ROW_FLAGS) if bits & (4 >> i))
+                       for bits in range(8))
+_ROW_FLAGS_TEXT = tuple(_flags_text(flags) for flags in _ROW_FLAG_SETS)
+_FLAGS_OF_TEXT = dict(zip(_ROW_FLAGS_TEXT, _ROW_FLAG_SETS))
+# a row's method text, indexed by the period table's method code
+_METHOD_TEXT = tuple(method.value for method in TABLE_METHODS)
+
+
 @dataclass(frozen=True)
 class ScanRecord:
     """One scanned modulus: its period, the exact ratio, and markers.
@@ -77,9 +94,7 @@ class ScanRecord:
         return self.m
 
     def flags_text(self) -> str:
-        if not self.flags:
-            return ""
-        return ";".join(f.value for f in _FLAG_ORDER if f in self.flags)
+        return _flags_text(self.flags)
 
     def csv_row(self) -> tuple:
         return (self.m, self.period, self.ratio_num, self.ratio_den,
@@ -190,14 +205,43 @@ def _expected_equality_set(limit: int) -> list[int]:
     return out
 
 
-def ratio_scan(limit: int, emit=None, *,
-               table: PeriodTable | None = None) -> RatioScanSummary:
+def _drive(emit, rows, scan_rows, *args):
+    """Run ``scan_rows(*args, wanted)``, a record scan's one row generator,
+    and return the summary it returns.  Its rows stream into ``rows`` (a
+    callable that takes an iterable of rows, such as a sink's
+    ``write_rows``) or reach ``emit`` one ScanRecord at a time; with
+    neither, the generator builds no row.  A claim violation raised at m
+    leaves the rows of every earlier m with the consumer."""
+    if emit is not None and rows is not None:
+        raise TypeError("pass emit or rows, not both")
+    summary = []
+
+    def run(wanted):
+        summary.append((yield from scan_rows(*args, wanted)))
+
+    if rows is not None:
+        rows(run(True))
+    elif emit is not None:
+        for row in run(True):
+            emit(ScanRecord(row[0], row[1], Method(row[4]), _FLAGS_OF_TEXT[row[5]]))
+    else:
+        for _ in run(False):
+            pass
+    return summary[0]
+
+
+def ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
+               rows=None) -> RatioScanSummary:
     """h(m) for 1 <= m <= limit, asserting h(m) <= 6m everywhere and that
     equality happens exactly on {2 * 5^n}.  ``emit`` receives one ScanRecord
-    per m in ascending order; ``table`` is ``period_table(limit)``, built
-    here when not given."""
+    per m in ascending order, or ``rows`` (say ``CsvRecordSink.write_rows``)
+    an iterable of their CSV rows; ``table`` is ``period_table(limit)``,
+    built here when not given."""
     _check_limit(limit)
-    table = _table_for(limit, table)
+    return _drive(emit, rows, _ratio_rows, limit, _table_for(limit, table))
+
+
+def _ratio_rows(limit: int, table: PeriodTable, wanted: bool):
     periods, lifts, methods = table.period, table.escalations, table.method
     best_num, best_den = 0, 1
     attained: list[int] = []
@@ -205,14 +249,17 @@ def ratio_scan(limit: int, emit=None, *,
     guard_count = 0
     for m in range(1, limit + 1):
         period = periods[m]
-        if period > 6 * m:
+        six_m = 6 * m
+        if period > six_m:
             raise ClaimViolationError(
-                f"6m bound violated: h({m}) = {period} > {6 * m}",
+                f"6m bound violated: h({m}) = {period} > {six_m}",
                 details=[(m, period)],
             )
-        if period == 6 * m:
+        ratio_six = period == six_m
+        if ratio_six:
             equality.append(m)
-        if lifts[m]:
+        lifted = lifts[m] != 0
+        if lifted:
             guard_count += 1
         cross_new, cross_best = period * best_den, best_num * m
         new_maximum = cross_new > cross_best
@@ -221,11 +268,9 @@ def ratio_scan(limit: int, emit=None, *,
             attained = [m]
         elif cross_new == cross_best:
             attained.append(m)
-        if emit is not None:
-            flags = period_flags(m, period, lifts[m])
-            if new_maximum:
-                flags.add(Flag.NEW_MAXIMUM)
-            emit(ScanRecord(m, period, TABLE_METHODS[methods[m]], frozenset(flags)))
+        if wanted:
+            yield (m, period, period, m, _METHOD_TEXT[methods[m]],
+                   _ROW_FLAGS_TEXT[4 * ratio_six + 2 * new_maximum + lifted])
     expected = _expected_equality_set(limit)
     if equality != expected:
         raise ClaimViolationError(
@@ -237,11 +282,16 @@ def ratio_scan(limit: int, emit=None, *,
 
 
 def irreducible_product_scan(limit: int, emit=None, *,
-                             table: PeriodTable | None = None) -> IrreducibleScanSummary:
+                             table: PeriodTable | None = None,
+                             rows=None) -> IrreducibleScanSummary:
     """Over m <= limit built only from odd primes = +-2 (mod 5), assert the
-    strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly)."""
+    strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly).  ``emit``
+    and ``rows`` are as in ratio_scan, for the qualifying m only."""
     _check_limit(limit)
-    table = _table_for(limit, table)
+    return _drive(emit, rows, _irreducible_rows, limit, _table_for(limit, table))
+
+
+def _irreducible_rows(limit: int, table: PeriodTable, wanted: bool):
     spf, periods, methods = table.spf, table.period, table.method
     # kept[m]: every prime of m is odd and = +-2 (mod 5), read as
     # p = 3, 7 (mod 10) for p = spf(m) and kept[m / p]
@@ -262,36 +312,41 @@ def irreducible_product_scan(limit: int, emit=None, *,
                 details=[(m, period)],
             )
         checked += 1
-        flags = set()
-        if period * best_den > best_num * m:
+        new_maximum = period * best_den > best_num * m
+        if new_maximum:
             best_num, best_den, best_at = period, m, m
-            flags.add(Flag.NEW_MAXIMUM)
-        if emit is not None:
-            emit(ScanRecord(m, period, TABLE_METHODS[methods[m]], frozenset(flags)))
+        if wanted:
+            yield (m, period, period, m, _METHOD_TEXT[methods[m]],
+                   _ROW_FLAGS_TEXT[2 * new_maximum])
     return IrreducibleScanSummary(limit, checked, (best_num, best_den), best_at)
 
 
-def lucas_ratio_scan(limit: int, emit=None, *,
-                     table: PeriodTable | None = None) -> LucasScanSummary:
+def lucas_ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
+                     rows=None) -> LucasScanSummary:
     """Maximum Lucas-period ratio over m <= limit; for limit >= 6 asserts the
-    maximum is exactly 4, attained only at m = 6."""
+    maximum is exactly 4, attained only at m = 6.  ``emit`` and ``rows`` are
+    as in ratio_scan."""
     _check_limit(limit)
     periods = lucas_period_table(_table_for(limit, table))
+    return _drive(emit, rows, _lucas_rows, limit, periods)
+
+
+def _lucas_rows(limit: int, periods, wanted: bool):
+    # the Lucas CSV keeps the method lucas_period reports
+    method = Method.PRIME_DIVISOR_SEARCH.value
     best_num, best_den = 0, 1
     attained: list[int] = []
     for m in range(1, limit + 1):
         period = periods[m]
         cross_new, cross_best = period * best_den, best_num * m
-        flags = set()
-        if cross_new > cross_best:
+        new_maximum = cross_new > cross_best
+        if new_maximum:
             best_num, best_den = period, m
             attained = [m]
-            flags.add(Flag.NEW_MAXIMUM)
         elif cross_new == cross_best:
             attained.append(m)
-        if emit is not None:
-            # the Lucas CSV keeps the method lucas_period reports
-            emit(ScanRecord(m, period, Method.PRIME_DIVISOR_SEARCH, frozenset(flags)))
+        if wanted:
+            yield (m, period, period, m, method, _ROW_FLAGS_TEXT[2 * new_maximum])
     if limit >= 6 and (best_num != 4 * best_den or attained != [6]):
         raise ClaimViolationError(
             f"Lucas maximum expected 4 at m = 6 only; got {best_num}/{best_den}"
@@ -376,6 +431,11 @@ class CsvRecordSink:
     def __call__(self, record: ScanRecord) -> None:
         self._writer.writerow(record.csv_row())
 
+    def write_rows(self, rows) -> None:
+        """Writes an iterable of CSV_COLUMNS tuples, as a scan's ``rows=``
+        hands them, row by row."""
+        self._writer.writerows(rows)
+
     def close(self) -> None:
         pass
 
@@ -389,9 +449,14 @@ class JsonRecordSink:
         self._file.write("[")
 
     def __call__(self, record: ScanRecord) -> None:
-        prefix = "\n" if self._count == 0 else ",\n"
-        self._file.write(prefix + json.dumps(record.json_obj()))
-        self._count += 1
+        self.write_rows((record.csv_row(),))
+
+    def write_rows(self, rows) -> None:
+        """Writes an iterable of CSV_COLUMNS tuples, one object each."""
+        for row in rows:
+            prefix = ",\n" if self._count else "\n"
+            self._file.write(prefix + json.dumps(dict(zip(CSV_COLUMNS, row))))
+            self._count += 1
 
     def close(self) -> None:
         self._file.write("\n]\n" if self._count else "]\n")
@@ -416,18 +481,17 @@ def filter_report_obj(report: FilterReport) -> dict:
 def write_filter_reports_csv(reports, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(FILTER_CSV_COLUMNS)
-    for r in reports:
-        writer.writerow((
-            r.prime, r.bound, r.true_period,
-            "" if r.filter_answer is None else r.filter_answer,
-            str(r.agrees).lower(),
-            ";".join(str(d) for d in r.surviving),
-            ";".join(str(d) for d in r.all_divisors),
-        ))
+    writer.writerows(
+        (r.prime, r.bound, r.true_period,
+         "" if r.filter_answer is None else r.filter_answer,
+         "true" if r.agrees else "false",
+         ";".join(map(str, r.surviving)),
+         ";".join(map(str, r.all_divisors)))
+        for r in reports)
 
 
 def write_filter_reports_json(reports, fileobj) -> None:
     fileobj.write("[")
-    for i, r in enumerate(reports):
-        fileobj.write(("\n" if i == 0 else ",\n") + json.dumps(filter_report_obj(r)))
+    fileobj.writelines(("\n" if i == 0 else ",\n") + json.dumps(filter_report_obj(r))
+                       for i, r in enumerate(reports))
     fileobj.write("\n]\n" if reports else "]\n")

@@ -143,23 +143,24 @@ def cmd_fib_index(args) -> int:
 _SUITES = ("ratio", "irreducible", "lucas", "filters", "wall")
 
 
-def _run_suite(suite: str, limit: int, table, emit, report_fh, fmt):
-    """Returns the suite's one-line summary.  Streams records into emit
+def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
+    """Returns the suite's one-line summary.  Streams rows into the sink
     (ratio/irreducible/lucas) or writes the report wholesale (filters);
     every suite reads the one ``period_table(limit)`` passed as table."""
+    rows = None if sink is None else sink.write_rows
     if suite == "ratio":
-        s = ratio_scan(limit, emit, table=table)
+        s = ratio_scan(limit, table=table, rows=rows)
         return (f"ratio: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}; "
                 f"equality set {_fmt_set(s.equality_set)}; "
                 f"lift guard triggered {s.lift_guard_count}x")
     if suite == "irreducible":
-        s = irreducible_product_scan(limit, emit, table=table)
+        s = irreducible_product_scan(limit, table=table, rows=rows)
         return (f"irreducible: {s.checked} of {limit} moduli qualify; "
                 f"max ratio {_fmt_ratio(*s.max_ratio)} at m={s.max_at}; "
                 f"bound 4 holds")
     if suite == "lucas":
-        s = lucas_ratio_scan(limit, emit, table=table)
+        s = lucas_ratio_scan(limit, table=table, rows=rows)
         return (f"lucas: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}")
     if suite == "filters":
@@ -199,14 +200,14 @@ def cmd_scan(args) -> int:
                 path = (out_dir / f"{suite}.{fmt}") if out_dir else Path(args.out)
                 fh = open(path, "w", encoding="utf-8", newline="")
         try:
-            emit = None
+            sink = None
             if wants_report and suite in ("ratio", "irreducible", "lucas"):
-                emit = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
+                sink = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
             try:
-                summaries.append(_run_suite(suite, args.limit, table, emit, fh, fmt))
+                summaries.append(_run_suite(suite, args.limit, table, sink, fh, fmt))
             finally:
-                if emit is not None:
-                    emit.close()
+                if sink is not None:
+                    sink.close()
         finally:
             if fh is not None and not to_stdout:
                 fh.close()

@@ -1,5 +1,9 @@
 """Collects acceptance verdict lines and prints them after the run, where
-capture cannot hide them."""
+capture cannot hide them; holds the fixtures several test files share."""
+
+import pytest
+
+from pisano import periods
 
 _verdicts = []
 
@@ -13,3 +17,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in _verdicts:
             terminalreporter.line(line)
+
+
+@pytest.fixture
+def wall_sun_sun_seven(monkeypatch):
+    """Make 7 look like a Wall-Sun-Sun prime: mod 49 the pair (0, 1) seems
+    to return at h(7) = 16, so h(49) = h(7) and the lift from 7 * 16 must
+    divide one factor of 7 out."""
+    real = periods._fib_pair_ints
+
+    def fib_pair_ints(n, m):
+        if m == 49 and n % 16 == 0:
+            return 0, 1
+        return real(n, m)
+
+    periods.clear_caches()
+    monkeypatch.setattr(periods, "_fib_pair_ints", fib_pair_ints)
+    yield
+    periods.clear_caches()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from pisano.analysis import (
     filter_agreement_scan,
     irreducible_product_scan,
     lucas_ratio_scan,
+    period_flags,
     ratio_scan,
     wall_property_scan,
     write_filter_reports_csv,
@@ -20,6 +22,7 @@ from pisano.analysis import (
 )
 from pisano.errors import DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
+from pisano.periods import TABLE_METHODS, lucas_period_table, period_table
 
 
 def trial_is_prime(n):
@@ -224,3 +227,82 @@ def test_scans_are_deterministic():
     b = io.StringIO()
     ratio_scan(150, JsonRecordSink(b))
     assert a.getvalue() == b.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the row path (a sink's write_rows, as the CLI uses it) against the record
+# path (a library emit fed one ScanRecord at a time)
+
+RECORD_SCANS = [ratio_scan, irreducible_product_scan, lucas_ratio_scan]
+
+
+def expected_records(scan, limit):
+    """The ScanRecords each record scan emitted before it streamed rows:
+    the table's period and method, period_flags for the ratio scan, and
+    NewMaximum wherever the exact ratio beats every earlier one."""
+    table = period_table(limit)
+    periods = lucas_period_table(table) if scan is lucas_ratio_scan else table.period
+    best, out = Fraction(0), []
+    for m in range(1, limit + 1):
+        if scan is irreducible_product_scan and not all(
+                p != 2 and p % 5 in (2, 3) for p in prime_factors(m)):
+            continue
+        period = periods[m]
+        if scan is lucas_ratio_scan:
+            method, flags = Method.PRIME_DIVISOR_SEARCH, set()
+        else:
+            method = TABLE_METHODS[table.method[m]]
+            flags = (period_flags(m, period, table.escalations[m])
+                     if scan is ratio_scan else set())
+        if Fraction(period, m) > best:
+            best = Fraction(period, m)
+            flags.add(Flag.NEW_MAXIMUM)
+        out.append(ScanRecord(m, period, method, frozenset(flags)))
+    return out
+
+
+def report_both_ways(scan, fmt, limit):
+    sink_type = CsvRecordSink if fmt == "csv" else JsonRecordSink
+    by_rows, by_records = io.StringIO(), io.StringIO()
+    row_sink, record_sink = sink_type(by_rows), sink_type(by_records)
+    summary = scan(limit, rows=row_sink.write_rows)
+    records = []
+
+    def emit(record):
+        records.append(record)
+        record_sink(record)
+
+    assert scan(limit, emit) == summary
+    row_sink.close()
+    record_sink.close()
+    # pairwise, so a failure names the first differing line or record
+    lines = by_rows.getvalue().splitlines(keepends=True)
+    record_lines = by_records.getvalue().splitlines(keepends=True)
+    assert len(lines) == len(record_lines)
+    for line, record_line in zip(lines, record_lines):
+        assert line == record_line
+    expected = expected_records(scan, limit)
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        assert got == want
+    return by_rows.getvalue()
+
+
+@pytest.mark.parametrize("limit", [1, 2, 6, 10, 2000])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scan", RECORD_SCANS)
+def test_rows_and_records_write_the_same_report(scan, fmt, limit):
+    report_both_ways(scan, fmt, limit)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scan", RECORD_SCANS)
+def test_rows_and_records_agree_on_an_injected_lift(wall_sun_sun_seven, scan, fmt):
+    text = report_both_ways(scan, fmt, 2000)
+    if scan is ratio_scan:  # expected_records pins which m carry each flag
+        assert "RatioSix;NewMaximum" in text and "LiftGuardTriggered" in text
+
+
+def test_a_scan_takes_emit_or_rows_not_both():
+    with pytest.raises(TypeError, match="not both"):
+        ratio_scan(10, print, rows=list)

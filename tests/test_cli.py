@@ -300,6 +300,26 @@ def test_each_suite_alone_matches_the_all_run(tmp_path, capsys):
             assert alone.read_bytes() == shared.read_bytes(), suite
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_violation_leaves_the_earlier_rows_in_the_report(fmt, capsys, monkeypatch):
+    code, clean, _ = run(capsys, "scan", "--suite", "ratio", "--emit", fmt,
+                         "--limit", "36")
+    assert code == 0
+
+    def table_breaking_37(limit):
+        table = periods.period_table(limit)
+        table.period[37] = 6 * 37 + 1
+        return table
+
+    monkeypatch.setattr(cli, "period_table", table_breaking_37)
+    code, out, err = run(capsys, "scan", "--suite", "ratio", "--emit", fmt,
+                         "--limit", "100")
+    assert code == 3
+    assert err == "error: 6m bound violated: h(37) = 223 > 222\n"
+    # the header and the rows of 1..36, closed as a clean run closes them
+    assert out == clean
+
+
 def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
     calls = {"period_table": 0, "lucas_period_table": 0}
 

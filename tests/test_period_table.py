@@ -152,24 +152,6 @@ def test_lucas_scan_records_match_point_path():
     assert summary.attained == (6,)
 
 
-@pytest.fixture
-def wall_sun_sun_seven(monkeypatch):
-    """Make 7 look like a Wall-Sun-Sun prime: mod 49 the pair (0, 1) seems
-    to return at h(7) = 16, so h(49) = h(7) and the lift from 7 * 16 must
-    divide one factor of 7 out."""
-    real = periods._fib_pair_ints
-
-    def fib_pair_ints(n, m):
-        if m == 49 and n % 16 == 0:
-            return 0, 1
-        return real(n, m)
-
-    clear_caches()
-    monkeypatch.setattr(periods, "_fib_pair_ints", fib_pair_ints)
-    yield
-    clear_caches()
-
-
 def test_injected_lift_escalation_flags_every_multiple(wall_sun_sun_seven):
     # 7^3 = 343 lies beyond the limit, so only 49's lift is faked
     records = []

@@ -1,8 +1,9 @@
 """Property tests of the laws the period table rests on: a pair returns
 mod lcm(a, b) exactly when it returns mod a and mod b, so h(lcm(a, b)) =
-lcm(h(a), h(b)), and the same for the Lucas period; and h(p) is the order
-of (0, 1) mod a prime p, so (0, 1) returns at h(p) and at no h(p) / q.
-Skipped when hypothesis is not installed."""
+lcm(h(a), h(b)), and the same for the Lucas period, with Vinson's
+h_L(5^a k) = lcm(4 * 5^(a-1), h(k)) for 5 not dividing k; and h(p) is the
+order of (0, 1) mod a prime p, so (0, 1) returns at h(p) and at no
+h(p) / q.  Skipped when hypothesis is not installed."""
 
 import math
 
@@ -44,6 +45,20 @@ def test_periods_of_an_lcm_with_shared_primes(a, b):
                                                pisano_period(b).period)
     assert lucas_period(c).period == math.lcm(lucas_period(a).period,
                                               lucas_period(b).period)
+
+
+# a >= 1 and 5^a * k < 2^62; k = 0 mod 5 is discarded
+fives_and_cofactors = st.integers(min_value=1, max_value=26).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(min_value=1, max_value=(2**62 - 1) // 5**a)))
+
+
+@law
+@given(fives_and_cofactors)
+def test_lucas_period_of_a_multiple_of_five(a_k):
+    a, k = a_k
+    assume(k % 5)
+    assert lucas_period(5**a * k).period == math.lcm(4 * 5 ** (a - 1),
+                                                     pisano_period(k).period)
 
 
 # a 2- to 63-bit start and a class; the prime is the largest of that class
