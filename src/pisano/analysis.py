@@ -12,9 +12,10 @@ CLI's path), into a library ``emit`` as ScanRecords, or are never built.
 
 No scan factors m: all five read h(m) from one sieve-built
 ``periods.period_table(limit)``, in which each h(p) and each lift is
-computed once and verified, and the filter scan reads its primes off the
-same sieve.  Each scan takes that table as ``table=`` (``pisano scan
---suite all`` builds one and hands it to every suite) or builds its own.
+computed once and verified, and the filter scan reads each class bound's
+factorization off the same sieve.  Each scan takes that table as
+``table=`` (``pisano scan --suite all`` builds one and hands it to every
+suite) or builds its own.
 A limit too large for the tables is a DomainError before any work starts.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import json
 # Unused ProcessPoolExecutor stays: bench/tracer.py wraps it here.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
-from .periods import TABLE_METHODS, PeriodTable, lucas_period_table, period_table
+from .numth import Factorization, _sieve_factors
+from .periods import (
+    TABLE_METHODS,
+    PeriodTable,
+    _class_bound,
+    lucas_period_table,
+    period_table,
+)
 from .theorems import FilterReport, _filter_report
 # Unused primes_up_to, lucas_period, theorem1_period and theorem2_period
 # stay: bench/tracer.py wraps them here.
@@ -369,11 +378,13 @@ def filter_agreement_scan(prime_limit: int, *,
         return FilterScanSummary(prime_limit, ())
     table = _table_for(prime_limit, table)
     spf, periods = table.spf, table.period
+    sieve_factors = functools.partial(_sieve_factors, spf)
     reports: list[FilterReport] = []
     for p in range(3, prime_limit + 1):
         if spf[p] or p == 5:
             continue
-        report = _filter_report(p, periods[p])
+        factors = _class_bound(p, sieve_factors)[1]
+        report = _filter_report(p, periods[p], Factorization(tuple(factors.items())))
         if not report.true_period_in_divisors:
             raise ClaimViolationError(
                 f"h({p}) = {report.true_period} is not a divisor of the class"

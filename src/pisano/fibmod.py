@@ -89,20 +89,36 @@ def _fib_pair_ints(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, F_{n+1} mod m) by fast doubling:
     F_2k = F_k (2 F_{k+1} - F_k),  F_2k+1 = F_k^2 + F_{k+1}^2.
     """
-    a, b = 0, 1 % m
     if n <= 0:
-        return a, b
-    mask = 1 << (n.bit_length() - 1)
-    while mask:
-        t = (b + b - a) % m
-        c = a * t % m
+        return 0, 1 % m
+    a = b = 1 % m  # (F_1, F_2): the leading bit of n
+    for bit in bin(n)[3:]:
+        c = a * (b + b - a) % m
         d = (a * a + b * b) % m
-        if n & mask:
+        if bit == "1":
             a, b = d, (c + d) % m
         else:
             a, b = c, d
-        mask >>= 1
     return a, b
+
+
+def _lucas_ladder(j: int, m: int) -> tuple[int, int]:
+    """(L_2j mod m, L_2j+2 mod m) for j >= 0, by two multiplications a bit.
+
+    V_k = L_2k is the Lucas sequence V(3, 1) of phi^2 (phi^2 + psi^2 = 3,
+    phi^2 psi^2 = 1), and the ladder keeps (V_k, V_k+1) with
+    V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - 3 (Joye and Quisquater,
+    "Efficient computation of full Lucas sequences", 1996).
+    """
+    if j <= 0:
+        return 2 % m, 3 % m
+    v, w = 3 % m, 7 % m  # (V_1, V_2): the leading bit of j
+    for bit in bin(j)[3:]:
+        if bit == "1":
+            v, w = (v * w - 3) % m, (w * w - 2) % m
+        else:
+            v, w = (v * v - 2) % m, (v * w - 3) % m
+    return v, w
 
 
 def fib_pair(n: int, m: int) -> ResiduePair:

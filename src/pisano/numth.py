@@ -73,15 +73,18 @@ def primes_up_to(n: int) -> list[int]:
     return list(compress(range(2, n + 1), map(operator.not_, islice(spf, 2, None))))
 
 
-def _sieve_primes(spf, n: int) -> list[int]:
-    """Distinct primes of 1 <= n < len(spf), ascending, by sieve lookups."""
-    out = []
+def _sieve_factors(spf, n: int) -> dict[int, int]:
+    """{prime: exponent} of 1 <= n < len(spf), primes ascending, by sieve
+    lookups; iterating it gives the distinct primes."""
+    out = {}
     while n > 1:
         p = spf[n] or n
-        out.append(p)
         n //= p
+        e = 1
         while n % p == 0:
             n //= p
+            e += 1
+        out[p] = e
     return out
 
 

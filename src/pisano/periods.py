@@ -8,8 +8,12 @@ p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and the
 Lucas period h_L(p^e), the order of (2, 1), from h(p^e); prime powers
 compose by lcm.  For p = +-1 mod 5 the return test at n is the builtin
 pow(g, n, p) == 1 with n even, for a root g of x^2 - x - 1; for
-p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because h(p)
-divides 2p+2 but not p+1.
+p = +-2 mod 5 it is L_n = 2 (mod p) with n even, from the Lucas ladder
+``fibmod._lucas_ladder``, and the power of 2 in 2p+2 is never divided out,
+because h(p) divides 2p+2 but not p+1.  The Lucas order of a prime other
+than 2 and 5 uses the same ladder test; prime powers, 2 and 5 test each
+n by fast doubling (``_pair_order``).  A shortcut test only divides down:
+one fast doubling of the start pair checks each result.
 
 Point queries factor m and memoize each prime power in ``_prime_power``;
 ``clear_caches()`` empties that memo.  Range scans use ``period_table(limit)``
@@ -34,13 +38,15 @@ from .fibmod import (  # noqa: F401
     PeriodResult,
     _check_modulus,
     _fib_pair_ints,
+    _lucas_ladder,
+    _lucas_pair_ints,
     lucas_brute_period,
 )
 from .numth import (  # noqa: F401
     MODULUS_MAX,
     U64_MAX,
     _factor_pairs,
-    _sieve_primes,
+    _sieve_factors,
     _sqrt_mod_prime,
     _zeroed,
     divisors,
@@ -84,17 +90,22 @@ def classify_prime(p: int) -> PrimeClass:
     return PrimeClass.IRREDUCIBLE
 
 
-def _class_bound(p: int, primes_of=None) -> tuple[int, tuple[int, ...]]:
-    """(prime p's class bound 3, 20, p - 1 or 2p + 2, the bound's primes);
-    ``primes_of(n)`` lists the distinct primes of n, and without it they are ()."""
+def _class_bound(p: int, factors_of=None) -> tuple[int, dict[int, int]]:
+    """(prime p's class bound 3, 20, p - 1 or 2p + 2, the bound's
+    {prime: exponent}, primes ascending, so iterating it gives the primes);
+    ``factors_of(n)`` gives a new such dict for n, and without it the dict
+    is empty for p other than 2 and 5."""
     if p == 2:
-        return 3, (3,)
+        return 3, {3: 1}
     if p == 5:
-        return 20, (2, 5)
+        return 20, {2: 2, 5: 1}
+    if not factors_of:
+        return (p - 1 if p % 5 in (1, 4) else 2 * p + 2), {}
     if p % 5 in (1, 4):
-        return p - 1, tuple(primes_of(p - 1)) if primes_of else ()
+        return p - 1, factors_of(p - 1)
     # 2p + 2 = 4 (p + 1) / 2, and (p + 1) / 2 < p stays inside a sieve to p
-    return 2 * p + 2, (2, *primes_of((p + 1) // 2)) if primes_of else ()
+    factors = factors_of((p + 1) // 2)
+    return 2 * p + 2, {2: factors.pop(2, 0) + 2, **factors}
 
 
 def period_bound(p: int) -> int:
@@ -129,30 +140,51 @@ def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
     return multiple
 
 
+def _ladder_order(p: int, n: int, primes) -> int:
+    """The return time n of a prime p other than 2 and 5, with each prime of
+    ``primes`` divided out while L_(n/q) = 2 (mod p) and n/q is even.
+
+    For even k, phi^k psi^k = 1 in GF(p^2), so L_k = phi^k + phi^-k = 2
+    forces (phi^k - 1)^2 = 0: phi^k = psi^k = 1, and as phi != psi both
+    (0, 1) and (2, 1) return at k.  An odd k is never a return time, since
+    (phi psi)^k = -1.  The result is unchecked: callers end in a fast
+    doubling of their start pair.
+    """
+    for q in primes:
+        while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
+            n //= q
+    return n
+
+
 def _prime_order(p: int, bound: int, primes) -> int:
     """h(p) for a prime p, divided down from its class bound ``bound`` by
     the bound's primes ``primes``, as ``_class_bound`` gives them.
 
+    h(2) = 3 and h(5) = 20 come from ``_pair_order``, whose result has
+    returned by construction.  Any other p divides down with a test cheaper
+    than a fast doubling, and one fast doubling then checks the result.
     Split p: the roots g and -1/g of x^2 - x - 1 are distinct, so (0, 1)
     returns at n exactly when n is even and g^n = 1, which the builtin pow
-    tests; the result is then checked by one fast doubling.  Any other p
-    keeps the bound's power of 2 and goes through ``_pair_order``, whose
-    result has returned by construction: an irreducible h(p) divides 2p + 2
-    but not p + 1, so v2(h(p)) = v2(2p + 2), and h(2) = 3, h(5) = 20.
+    tests.  Irreducible p: the Lucas ladder's L_n = 2 (``_ladder_order``);
+    h(p) divides 2p + 2 but not p + 1, so v2(h(p)) = v2(2p + 2) and 2 is
+    never divided out.
     """
-    if p % 5 not in (1, 4):
+    if p in (2, 5):
         return _pair_order((0, 1), p, bound, [q for q in primes if q != 2])
-    g = (1 + _sqrt_mod_prime(5, p)) * ((p + 1) // 2) % p
-    if (g * g - g - 1) % p or 2 * g % p == 1:
-        raise ClaimViolationError(f"{g} is not a simple root of x^2 - x - 1 mod {p}")
-    n = bound
-    for q in primes:
-        while n % q == 0 and n // q % 2 == 0 and pow(g, n // q, p) == 1:
-            n //= q
+    if p % 5 in (1, 4):
+        g = (1 + _sqrt_mod_prime(5, p)) * ((p + 1) // 2) % p
+        if (g * g - g - 1) % p or 2 * g % p == 1:
+            raise ClaimViolationError(f"{g} is not a simple root of x^2 - x - 1 mod {p}")
+        n = bound
+        for q in primes:
+            while n % q == 0 and n // q % 2 == 0 and pow(g, n // q, p) == 1:
+                n //= q
+    else:
+        n = _ladder_order(p, bound, [q for q in primes if q != 2])
     if _fib_pair_ints(n, p) != (0, 1):
         raise ClaimViolationError(
             f"(0, 1) does not return after {n} steps mod {p};"
-            " the root test failed (is the input prime?)"
+            " the pow or ladder test failed (is the input prime?)"
         )
     return n
 
@@ -177,8 +209,22 @@ def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
 
 def _lucas_order(p: int, pe: int, period: int, primes) -> int:
     """h_L(p^e) for pe = p^e: the order of (2, 1), divided down from
-    h(p^e) = ``period`` by the primes of p's class bound and p itself."""
-    return _pair_order((2, 1), pe, period, (*primes, p))
+    h(p^e) = ``period`` by the primes of p's class bound and p itself.
+
+    A prime p other than 2 and 5 divides down by the Lucas ladder test of
+    ``_ladder_order``, and one fast doubling of (2, 1) checks the result.
+    Prime powers, 2 and 5 go through ``_pair_order``: Z/p^e is no field.
+    """
+    primes = (*primes, p)
+    if pe != p or p in (2, 5):
+        return _pair_order((2, 1), pe, period, primes)
+    n = _ladder_order(p, period, primes)
+    if _lucas_pair_ints(n, p) != (2, 1):
+        raise ClaimViolationError(
+            f"(2, 1) does not return after {n} steps mod {p};"
+            " the ladder test failed (is the input prime?)"
+        )
+    return n
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,7 +234,8 @@ def _prime_power(p: int, e: int) -> tuple[int, int, tuple[int, ...]]:
         period, _, primes = _prime_power(p, 1)
         return (*_lift(p, p**e, period), primes)
     # factorize is looked up here at call time, where bench/tracer.py counts it
-    bound, primes = _class_bound(p, lambda n: factorize(n).primes())
+    bound, factors = _class_bound(p, lambda n: dict(factorize(n).factors))
+    primes = tuple(factors)
     return _prime_order(p, bound, primes), 0, primes
 
 
@@ -285,7 +332,7 @@ def period_table(limit: int) -> PeriodTable:
     allocated is a DomainError.
     """
     spf = smallest_prime_factors(limit)
-    sieve_primes = functools.partial(_sieve_primes, spf)
+    sieve_factors = functools.partial(_sieve_factors, spf)
     period = _zeroed("Q", limit + 1)
     escalations = _zeroed("B", limit + 1)
     method = _zeroed("B", limit + 1)
@@ -293,7 +340,7 @@ def period_table(limit: int) -> PeriodTable:
     for m in range(2, limit + 1):
         p = spf[m]
         if not p:
-            period[m] = _prime_order(m, *_class_bound(m, sieve_primes))
+            period[m] = _prime_order(m, *_class_bound(m, sieve_factors))
             method[m] = 1  # PRIME_DIVISOR_SEARCH
             continue
         rest = m // p
@@ -313,7 +360,7 @@ def lucas_period_table(table: PeriodTable) -> array:
     """h_L(m) for every m of ``table``: each prime power's Lucas order, as
     on the point path, composed by lcm."""
     spf, period = table.spf, table.period
-    sieve_primes = functools.partial(_sieve_primes, spf)
+    sieve_factors = functools.partial(_sieve_factors, spf)
     limit = len(period) - 1
     lucas = _zeroed("Q", limit + 1)
     lucas[1] = 1
@@ -325,6 +372,6 @@ def lucas_period_table(table: PeriodTable) -> array:
         if rest > 1:
             lucas[m] = math.lcm(lucas[m // rest], lucas[rest])
         else:
-            primes = _class_bound(p, sieve_primes)[1]
+            primes = _class_bound(p, sieve_factors)[1]
             lucas[m] = _lucas_order(p, m, period[m], primes)
     return lucas

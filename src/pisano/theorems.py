@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, PeriodOverflowError
-from .fibmod import Method, PeriodResult, _fib_pair_ints, fib_exact
+from .fibmod import Method, PeriodResult, _lucas_ladder, fib_exact
 from .numth import (
     MODULUS_MAX,
     DivisorSet,
+    Factorization,
     divisors,
     factorize,
     mod_sqrt,
@@ -22,7 +23,6 @@ from .numth import (
 )
 from .periods import (
     PrimeClass,
-    _class_bound,
     classify_prime,
     pisano_period,
     prime_period,
@@ -108,22 +108,27 @@ def theorem2_candidates(p: int) -> list[int]:
     return _theorem2_filter(p, divisors(factorize(p - 1)))
 
 
-def _filter_report(p: int, true_period: int) -> FilterReport:
-    """The filter of p's class run against h(p) = ``true_period``; p must be
-    a prime other than 2 and 5 (not checked here)."""
+def _filter_report(p: int, true_period: int, factors: Factorization) -> FilterReport:
+    """The filter of p's class run against h(p) = ``true_period``, over the
+    divisors of p's class bound, factored as ``factors``; p must be a prime
+    other than 2 and 5 (not checked here)."""
     split = p % 5 in (1, 4)
-    bound = _class_bound(p)[0]
-    all_divisors = divisors(factorize(bound))
+    all_divisors = divisors(factors)
     candidates = (_theorem2_filter if split else _theorem1_filter)(p, all_divisors)
-    # the filter's own acceptance test is F_{d+1} = 1 (mod p), hi alone
+    # The filter's own acceptance test is F_{d+1} = 1 (mod p), taken as
+    # L_d + L_{d+2} = 5 (mod p) from one Lucas ladder: 5 F_n = L_{n-1} +
+    # L_{n+1} and 5 is a unit mod p.  Every candidate d is even (Theorem 2
+    # asks for it; a divisor of 2p + 2 that does not divide p + 1 keeps all
+    # of its 2s), so the ladder at d / 2 reaches it.
     filter_answer = None
     for d in candidates:
-        if _fib_pair_ints(d, p)[1] == 1:
+        lo, hi = _lucas_ladder(d // 2, p)
+        if (lo + hi) % p == 5 % p:
             filter_answer = d
             break
     return FilterReport(
         prime=p,
-        bound=bound,
+        bound=all_divisors.source,
         all_divisors=all_divisors,
         surviving=tuple(candidates),
         filter_answer=filter_answer,
@@ -134,13 +139,13 @@ def _filter_report(p: int, true_period: int) -> FilterReport:
 def theorem1_period(p: int) -> FilterReport:
     """Run the 2p+2 divisor filter and report its answer next to h(p)."""
     _require_class(p, PrimeClass.IRREDUCIBLE)
-    return _filter_report(p, prime_period(p).period)
+    return _filter_report(p, prime_period(p).period, factorize(2 * p + 2))
 
 
 def theorem2_period(p: int) -> FilterReport:
     """Run the p-1 divisor filter and report its answer next to h(p)."""
     _require_class(p, PrimeClass.SPLIT)
-    return _filter_report(p, prime_period(p).period)
+    return _filter_report(p, prime_period(p).period, factorize(p - 1))
 
 
 def fibonacci_primitive_root(p: int) -> FprResult:

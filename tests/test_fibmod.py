@@ -8,6 +8,8 @@ from pisano.fibmod import (
     Method,
     PeriodResult,
     ResiduePair,
+    _lucas_ladder,
+    _lucas_pair_ints,
     brute_period,
     fib_exact,
     fib_pair,
@@ -105,6 +107,24 @@ def test_lucas_pair_large_random():
         # L_n = 2 F_{n+1} - F_n
         fa, fb = matrix_fib(n, m)
         assert lo == (2 * fb - fa) % m
+
+
+def test_lucas_ladder_small_exhaustive():
+    # (L_2j, L_2j+2) mod m, against the fast-doubling Lucas pair
+    for m in range(1, 41):
+        for j in range(0, 130):
+            want = (_lucas_pair_ints(2 * j, m)[0], _lucas_pair_ints(2 * j + 2, m)[0])
+            assert _lucas_ladder(j, m) == want, (j, m)
+
+
+def test_lucas_ladder_at_62_and_63_bits():
+    rng = random.Random(2962)
+    for bits in (62, 63):
+        for _ in range(100):
+            m = rng.randrange(2 ** (bits - 1), 2**bits)
+            j = rng.randrange(0, 2**bits)
+            want = (_lucas_pair_ints(2 * j, m)[0], _lucas_pair_ints(2 * j + 2, m)[0])
+            assert _lucas_ladder(j, m) == want, (j, m)
 
 
 def test_fib_exact_values():

@@ -11,6 +11,8 @@ from pisano.errors import ClaimViolationError
 from pisano.fibmod import fib_pair
 from pisano.numth import MODULUS_MAX, divisors, factorize, is_prime, primes_up_to
 from pisano.periods import (
+    _class_bound,
+    _lucas_order,
     _pair_order,
     _prime_order,
     clear_caches,
@@ -95,6 +97,34 @@ def test_prime_order_checks_a_split_result_by_fast_doubling():
     with pytest.raises(ClaimViolationError, match="does not return after 5 steps mod 11"):
         _prime_order(11, 5, (5,))
     assert _prime_order(11, 10, (2, 5)) == 10
+
+
+def test_prime_order_checks_an_irreducible_result_by_fast_doubling():
+    # h(7) = 16: 8 is no return time, and with no primes to divide out the
+    # ladder never runs, so the final fast doubling must catch the bound
+    with pytest.raises(ClaimViolationError, match="does not return after 8 steps mod 7"):
+        _prime_order(7, 8, ())
+    assert _prime_order(7, 16 * 3, (2, 3)) == 16
+
+
+def test_prime_order_rejects_a_composite_irreducible_input():
+    # 77 = 7 * 11 = 2 (mod 5); h(77) = 80 divides no divisor of 156
+    with pytest.raises(ClaimViolationError, match="mod 77"):
+        _prime_order(77, *_class_bound(77, lambda n: dict(factorize(n).factors)))
+
+
+def test_lucas_order_checks_a_prime_result_by_fast_doubling():
+    with pytest.raises(ClaimViolationError, match=r"\(2, 1\) does not return after 8 steps mod 7"):
+        _lucas_order(7, 7, 8, ())
+    assert _lucas_order(7, 7, 16 * 3, (2, 3)) == 16
+    # split: h_L(11) = h(11) = 10, divided down from 10 * 9
+    assert _lucas_order(11, 11, 90, (2, 3, 5)) == 10
+
+
+def test_lucas_order_rejects_a_composite_input():
+    bound, primes = _class_bound(77, lambda n: dict(factorize(n).factors))
+    with pytest.raises(ClaimViolationError, match="mod 77"):
+        _lucas_order(77, 77, bound, primes)
 
 
 def test_prime_period_matches_divisor_search_below_1e5():

@@ -72,9 +72,9 @@ def test_period_table_primes_match_the_pair_order_recipe():
     # the recipe the table ran before the split-prime pow test: the order of
     # (0, 1) divided down from the class bound by every prime of the bound
     table = period_table(10**5)
-    primes_of = lambda n: factorize(n).primes()  # noqa: E731
+    factors_of = lambda n: dict(factorize(n).factors)  # noqa: E731
     for p in primes_up_to(10**5):
-        assert table.period[p] == _pair_order((0, 1), p, *_class_bound(p, primes_of)), p
+        assert table.period[p] == _pair_order((0, 1), p, *_class_bound(p, factors_of)), p
 
 
 @pytest.fixture

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from pisano.errors import DomainError, PeriodOverflowError
-from pisano.fibmod import Method, fib_exact, fib_pair
-from pisano.numth import divisors, factorize, primes_up_to
+from pisano.analysis import filter_agreement_scan
+from pisano.fibmod import Method, _fib_pair_ints, fib_exact, fib_pair
+from pisano.numth import divisors, factorize, is_prime, primes_up_to
 from pisano.periods import prime_period, pisano_period
 from pisano.theorems import (
+    FilterReport,
     fib_index_period,
     fibonacci_primitive_root,
     theorem1_candidates,
@@ -112,6 +114,41 @@ def test_filter_answer_for_101():
     assert rep.surviving == (4, 10, 20, 50, 100)
     assert rep.filter_answer == 50
     assert rep.agrees
+
+
+def reference_filter_report(p: int) -> FilterReport:
+    """The filter report built the way the scan built it before it read the
+    sieve: the class bound factored by ``factorize``, and the first
+    candidate whose F_{d+1} = 1 (mod p) by fast doubling."""
+    split = p % 5 in (1, 4)
+    bound = p - 1 if split else 2 * p + 2
+    candidates = theorem2_candidates(p) if split else theorem1_candidates(p)
+    answer = next((d for d in candidates if _fib_pair_ints(d, p)[1] == 1), None)
+    return FilterReport(p, bound, divisors(factorize(bound)), tuple(candidates),
+                        answer, prime_period(p).period)
+
+
+def test_filter_scan_matches_the_factorize_and_fast_doubling_reports():
+    reports = filter_agreement_scan(20000).reports
+    primes = [p for p in primes_up_to(20000) if p not in (2, 5)]
+    assert [r.prime for r in reports] == primes
+    for rep in reports:
+        ref = reference_filter_report(rep.prime)
+        for name in ("prime", "bound", "all_divisors", "surviving",
+                     "filter_answer", "true_period"):
+            assert getattr(rep, name) == getattr(ref, name), (rep.prime, name)
+
+
+@pytest.mark.parametrize("residues", [(1, 4), (2, 3)], ids=["split", "irreducible"])
+def test_filter_reports_match_the_reference_at_64_bits(residues):
+    rng = random.Random(7177 + residues[0])
+    run = theorem2_period if residues == (1, 4) else theorem1_period
+    for bits in (61, 62, 63):
+        while True:
+            p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+            if p % 5 in residues and is_prime(p):
+                break
+        assert run(p) == reference_filter_report(p), p
 
 
 def test_fpr_known_roots():
