@@ -4,23 +4,30 @@ Strategy: the times at which a pair returns under the Fibonacci step form
 a subgroup h*Z, so h is found by dividing each prime out of a known multiple
 while the pair still returns.  One recipe serves point queries and range
 tables alike: h(p) is divided down from the class bound (2p+2 for
-p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and the
-Lucas period h_L(p^e), the order of (2, 1), from h(p^e); prime powers
-compose by lcm.  For p = +-1 mod 5 the return test at n is the builtin
-pow(g, n, p) == 1 with n even, for a root g of x^2 - x - 1; for
+p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and prime
+powers compose by lcm.  For p = +-1 mod 5 the return test at n is the
+builtin pow(g, n, p) == 1 with n even, for a root g of x^2 - x - 1; for
 p = +-2 mod 5 it is L_n = 2 (mod p) with n even, from the Lucas ladder
 ``fibmod._lucas_ladder``, and the power of 2 in 2p+2 is never divided out,
-because h(p) divides 2p+2 but not p+1.  The Lucas order of a prime other
-than 2 and 5 uses the same ladder test; prime powers, 2 and 5 test each
-n by fast doubling (``_pair_order``).  A shortcut test only divides down:
-one fast doubling of the start pair checks each result.
+because h(p) divides 2p+2 but not p+1.  2, 5 and prime powers test each n
+by fast doubling (``_pair_order``).  A shortcut test only divides down:
+one fast doubling of (0, 1) checks each result.
+
+The Lucas period h_L(m), the order of (2, 1), needs no search of its own.
+The step T is linear and commutes with T^n, and (2, 1) and T(2, 1) = (1, 3)
+have determinant 5, so for p != 5 they span (Z/p^e)^2: T^n fixes (2, 1)
+exactly when T^n = I.  T^n = I exactly when T^n fixes (0, 1), because then
+F_(n-1) = F_(n+1) - F_n = 1.  Hence h_L(p^e) = h(p^e) for every p != 5,
+2 and prime powers included, and the verified (0, 1) return is the (2, 1)
+return too.  h_L(5^e) = 4 * 5^(e-1) (Vinson, Fibonacci Quarterly 1963) is
+checked as a return time of (2, 1) and proved least by ``_pair_order``.
 
 Point queries factor m and memoize each prime power in ``_prime_power``;
 ``clear_caches()`` empties that memo.  Range scans use ``period_table(limit)``
 instead: one smallest-prime-factor sieve supplies every class bound's primes
 and every m's prime powers, in one ascending pass; ``lucas_period_table``
-adds the Lucas periods in a second pass over the same sieve.  Every h(p),
-lift and Lucas order is verified by the pair returning.
+copies the periods and redoes only the multiples of 5.  Every h(p), lift
+and h_L(5^e) is verified by the pair returning.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .fibmod import (  # noqa: F401
     _check_modulus,
     _fib_pair_ints,
     _lucas_ladder,
-    _lucas_pair_ints,
     lucas_brute_period,
 )
 from .numth import (  # noqa: F401
@@ -140,47 +146,35 @@ def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
     return multiple
 
 
-def _ladder_order(p: int, n: int, primes) -> int:
-    """The return time n of a prime p other than 2 and 5, with each prime of
-    ``primes`` divided out while L_(n/q) = 2 (mod p) and n/q is even.
-
-    For even k, phi^k psi^k = 1 in GF(p^2), so L_k = phi^k + phi^-k = 2
-    forces (phi^k - 1)^2 = 0: phi^k = psi^k = 1, and as phi != psi both
-    (0, 1) and (2, 1) return at k.  An odd k is never a return time, since
-    (phi psi)^k = -1.  The result is unchecked: callers end in a fast
-    doubling of their start pair.
-    """
-    for q in primes:
-        while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
-            n //= q
-    return n
-
-
 def _prime_order(p: int, bound: int, primes) -> int:
     """h(p) for a prime p, divided down from its class bound ``bound`` by
     the bound's primes ``primes``, as ``_class_bound`` gives them.
 
     h(2) = 3 and h(5) = 20 come from ``_pair_order``, whose result has
     returned by construction.  Any other p divides down with a test cheaper
-    than a fast doubling, and one fast doubling then checks the result.
-    Split p: the roots g and -1/g of x^2 - x - 1 are distinct, so (0, 1)
-    returns at n exactly when n is even and g^n = 1, which the builtin pow
-    tests.  Irreducible p: the Lucas ladder's L_n = 2 (``_ladder_order``);
-    h(p) divides 2p + 2 but not p + 1, so v2(h(p)) = v2(2p + 2) and 2 is
-    never divided out.
+    than a fast doubling, and one fast doubling then checks the result.  An
+    odd n is never a return time, since (phi psi)^n = -1.  Split p: the roots
+    g and -1/g of x^2 - x - 1 are distinct, so (0, 1) returns at n exactly
+    when n is even and g^n = 1, which the builtin pow tests.  Irreducible p:
+    for even n, phi^n psi^n = 1 in GF(p^2), so the Lucas ladder's
+    L_n = phi^n + phi^-n = 2 forces (phi^n - 1)^2 = 0, that is
+    phi^n = psi^n = 1; h(p) divides 2p + 2 but not p + 1, so
+    v2(h(p)) = v2(2p + 2) and 2 is never divided out.
     """
     if p in (2, 5):
         return _pair_order((0, 1), p, bound, [q for q in primes if q != 2])
-    if p % 5 in (1, 4):
+    split = p % 5 in (1, 4)
+    if split:
         g = (1 + _sqrt_mod_prime(5, p)) * ((p + 1) // 2) % p
         if (g * g - g - 1) % p or 2 * g % p == 1:
             raise ClaimViolationError(f"{g} is not a simple root of x^2 - x - 1 mod {p}")
-        n = bound
-        for q in primes:
-            while n % q == 0 and n // q % 2 == 0 and pow(g, n // q, p) == 1:
-                n //= q
     else:
-        n = _ladder_order(p, bound, [q for q in primes if q != 2])
+        primes = [q for q in primes if q != 2]
+    n = bound
+    for q in primes:
+        while n % q == 0 and n // q % 2 == 0 and (
+                pow(g, n // q, p) == 1 if split else _lucas_ladder(n // q // 2, p)[0] == 2):
+            n //= q
     if _fib_pair_ints(n, p) != (0, 1):
         raise ClaimViolationError(
             f"(0, 1) does not return after {n} steps mod {p};"
@@ -194,7 +188,7 @@ def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     the order of (0, 1) mod p^e, divided down by p from p^(e-1) h(p);
     escalations count the factors of p divided out."""
     candidate = pe // p * period
-    if candidate > U64_MAX:  # inside the domain only 13^17 gets here
+    if candidate > U64_MAX:  # inside the domain only 5^27 and 13^17 get here
         e = round(math.log(pe, p))
         raise PeriodOverflowError(
             f"candidate period {candidate} for {p}^{e} exceeds the 64-bit range"
@@ -207,36 +201,13 @@ def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     return value, escalations
 
 
-def _lucas_order(p: int, pe: int, period: int, primes) -> int:
-    """h_L(p^e) for pe = p^e: the order of (2, 1), divided down from
-    h(p^e) = ``period`` by the primes of p's class bound and p itself.
-
-    A prime p other than 2 and 5 divides down by the Lucas ladder test of
-    ``_ladder_order``, and one fast doubling of (2, 1) checks the result.
-    Prime powers, 2 and 5 go through ``_pair_order``: Z/p^e is no field.
-    """
-    primes = (*primes, p)
-    if pe != p or p in (2, 5):
-        return _pair_order((2, 1), pe, period, primes)
-    n = _ladder_order(p, period, primes)
-    if _lucas_pair_ints(n, p) != (2, 1):
-        raise ClaimViolationError(
-            f"(2, 1) does not return after {n} steps mod {p};"
-            " the ladder test failed (is the input prime?)"
-        )
-    return n
-
-
 @functools.lru_cache(maxsize=None)
-def _prime_power(p: int, e: int) -> tuple[int, int, tuple[int, ...]]:
-    """(h(p^e), lift escalations, the primes of p's class bound)."""
+def _prime_power(p: int, e: int) -> tuple[int, int]:
+    """(h(p^e), lift escalations)."""
     if e > 1:
-        period, _, primes = _prime_power(p, 1)
-        return (*_lift(p, p**e, period), primes)
+        return _lift(p, p**e, _prime_power(p, 1)[0])
     # factorize is looked up here at call time, where bench/tracer.py counts it
-    bound, factors = _class_bound(p, lambda n: dict(factorize(n).factors))
-    primes = tuple(factors)
-    return _prime_order(p, bound, primes), 0, primes
+    return _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n).factors))), 0
 
 
 def clear_caches() -> None:
@@ -259,20 +230,22 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
     pe = p**e
     if pe > MODULUS_MAX:
         raise PeriodOverflowError(f"{p}^{e} exceeds the modulus domain 2^63 - 1")
-    value, escalations, _ = _prime_power(p, e)
+    value, escalations = _prime_power(p, e)
     return PeriodResult(pe, value, Method.PRIME_POWER_LIFT, escalations)
 
 
 def _period(m: int, pairs, lucas: bool = False) -> PeriodResult:
     """h(m), or h_L(m) with ``lucas``, from the (prime, exponent) pairs of
     m: each prime power's period, composed by lcm; m = 1 has no pairs.  The
-    Lucas pair returns mod m exactly when it returns mod every p^e || m."""
+    Lucas pair returns mod m exactly when it returns mod every p^e || m, at
+    h(p^e) for p != 5 and at 4 * 5^(e-1) for p = 5."""
     period = 1
     escalations = 0
     for p, e in pairs:
-        value, esc, primes = _prime_power(p, e)
-        if lucas:
-            value = _lucas_order(p, p**e, value, primes)
+        if lucas and p == 5:
+            value, esc = _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5)), 0
+        else:
+            value, esc = _prime_power(p, e)
         escalations += esc
         period = lcm(period, value)
     if lucas or (len(pairs) == 1 and pairs[0][1] == 1):
@@ -293,9 +266,8 @@ def pisano_period(m: int) -> PeriodResult:
 def lucas_period(m: int) -> PeriodResult:
     """Least d with (L_d, L_{d+1}) = (2, 1) mod m.
 
-    The Lucas sequence obeys the same recurrence, so its start pair returns
-    at h(p^e) for each p^e || m; h_L(p^e) is the order of (2, 1) divided
-    down from there, and h_L(m) is the lcm of those orders.
+    h_L(p^e) = h(p^e) for every p^e || m with p != 5, and
+    h_L(5^e) = 4 * 5^(e-1); h_L(m) is the lcm of those orders.
     """
     _check_modulus(m)
     return _period(m, _factor_pairs(m), lucas=True)
@@ -357,21 +329,18 @@ def period_table(limit: int) -> PeriodTable:
 
 
 def lucas_period_table(table: PeriodTable) -> array:
-    """h_L(m) for every m of ``table``: each prime power's Lucas order, as
-    on the point path, composed by lcm."""
-    spf, period = table.spf, table.period
-    sieve_factors = functools.partial(_sieve_factors, spf)
-    limit = len(period) - 1
-    lucas = _zeroed("Q", limit + 1)
-    lucas[1] = 1
-    for m in range(2, limit + 1):
-        p = spf[m] or m
-        rest = m // p
-        while rest % p == 0:
-            rest //= p
+    """h_L(m) for every m of ``table``: h(m) unless 5 divides m, and
+    lcm(h_L(5^a), h(k)) for m = 5^a k with 5 not dividing k, as on the
+    point path."""
+    period = table.period
+    lucas = _zeroed("Q", len(period))
+    lucas[:] = period
+    for m in range(5, len(period), 5):
+        rest = m // 5
+        while rest % 5 == 0:
+            rest //= 5
         if rest > 1:
-            lucas[m] = math.lcm(lucas[m // rest], lucas[rest])
+            lucas[m] = math.lcm(lucas[m // rest], period[rest])
         else:
-            primes = _class_bound(p, sieve_factors)[1]
-            lucas[m] = _lucas_order(p, m, period[m], primes)
+            lucas[m] = _pair_order((2, 1), m, 4 * m // 5, (2, 5))
     return lucas

@@ -75,6 +75,16 @@ def test_period_beyond_64_bits_is_an_error(capsys):
     assert out.startswith("h_L(9223372036854772630) = 5534023222112863584\n")
 
 
+def test_period_lucas_of_five_to_the_27th(capsys):
+    # h(5^27) = 4 * 5^27 overflows, h_L(5^27) = 4 * 5^26 does not
+    code, out, err = run(capsys, "period", str(5**27), "--lucas")
+    assert (code, err) == (0, "")
+    assert out.startswith("h_L(7450580596923828125) = 5960464477539062500\n")
+    code, out, err = run(capsys, "period", str(5**27))
+    assert (code, out) == (1, "")
+    assert "exceeds the 64-bit range" in err
+
+
 def test_period_factors_the_modulus_once(capsys, monkeypatch):
     m = 2147483629 * 2147483647
     periods.pisano_period(m)  # warm the memo: only m itself is left to factor

@@ -1,6 +1,7 @@
-"""The pair-order primitive behind h(p), the prime-power lift and h_L(m),
+"""The pair-order primitive behind h(p), the prime-power lift and h_L(5^e),
 checked directly and against the searches it replaced: the increasing-divisor
-search for h(p) and the union-of-primes order search for h_L(m)."""
+search for h(p), and the order searches for h_L(p^e) and h_L(m) that
+h_L(p^e) = h(p^e) for p != 5 made redundant."""
 
 import random
 
@@ -8,11 +9,10 @@ import pytest
 
 from pisano import periods
 from pisano.errors import ClaimViolationError
-from pisano.fibmod import fib_pair
+from pisano.fibmod import fib_pair, lucas_pair
 from pisano.numth import MODULUS_MAX, divisors, factorize, is_prime, primes_up_to
 from pisano.periods import (
     _class_bound,
-    _lucas_order,
     _pair_order,
     _prime_order,
     clear_caches,
@@ -45,6 +45,14 @@ def union_search_lucas_period(m: int) -> int:
     for p, _ in pairs:
         primes.update(factorize(period_bound(p)).primes())
     return _pair_order((2, 1), m, pisano_period(m).period, sorted(primes))
+
+
+def prime_power_search_lucas_period(p: int, e: int) -> int:
+    """Reference h_L(p^e): the order of (2, 1) mod p^e divided down from
+    h(p^e) by the primes of p's class bound and p itself (the search
+    lucas_period ran before h_L(p^e) = h(p^e) replaced it)."""
+    primes = (*factorize(period_bound(p)).primes(), p)
+    return _pair_order((2, 1), p**e, prime_power_period(p, e).period, primes)
 
 
 def _random_prime(rng: random.Random, bits: int, residues) -> int:
@@ -113,18 +121,39 @@ def test_prime_order_rejects_a_composite_irreducible_input():
         _prime_order(77, *_class_bound(77, lambda n: dict(factorize(n).factors)))
 
 
-def test_lucas_order_checks_a_prime_result_by_fast_doubling():
-    with pytest.raises(ClaimViolationError, match=r"\(2, 1\) does not return after 8 steps mod 7"):
-        _lucas_order(7, 7, 8, ())
-    assert _lucas_order(7, 7, 16 * 3, (2, 3)) == 16
-    # split: h_L(11) = h(11) = 10, divided down from 10 * 9
-    assert _lucas_order(11, 11, 90, (2, 3, 5)) == 10
+def test_lucas_period_of_a_prime_power_is_its_period_below_1e5():
+    # (2, 1) and (1, 3) span (Z/p^e)^2 for p != 5, so the old search never
+    # divides h(p^e) down
+    clear_caches()
+    for p in primes_up_to(10**5):
+        if p == 5:
+            continue
+        pe, e = p, 1
+        while pe <= 10**5:
+            h = prime_power_period(p, e).period
+            assert prime_power_search_lucas_period(p, e) == h == lucas_period(pe).period, pe
+            pe, e = pe * p, e + 1
 
 
-def test_lucas_order_rejects_a_composite_input():
-    bound, primes = _class_bound(77, lambda n: dict(factorize(n).factors))
-    with pytest.raises(ClaimViolationError, match="mod 77"):
-        _lucas_order(77, 77, bound, primes)
+@pytest.mark.parametrize("residues", [(1, 4), (2, 3)], ids=["split", "irreducible"])
+def test_lucas_period_of_a_prime_is_its_period_at_64_bits(residues):
+    rng = random.Random(6365 + residues[0])
+    for bits in (60, 61, 62, 63):
+        for _ in range(2):
+            p = _random_prime(rng, bits, residues)
+            h = prime_period(p).period
+            assert prime_power_search_lucas_period(p, 1) == h == lucas_period(p).period, p
+
+
+def test_lucas_period_of_a_power_of_five():
+    # h_L(5^e) = 4 * 5^(e-1): (2, 1) returns there and at no h_L / q
+    for e in range(1, 28):
+        h_lucas = 4 * 5**(e - 1)
+        assert lucas_period(5**e).period == h_lucas, e
+        assert lucas_pair(h_lucas, 5**e).as_tuple() == (2, 1), e
+        for q in (2, 5):
+            if h_lucas % q == 0:
+                assert lucas_pair(h_lucas // q, 5**e).as_tuple() != (2, 1), (e, q)
 
 
 def test_prime_period_matches_divisor_search_below_1e5():
@@ -153,4 +182,13 @@ def test_lucas_period_matches_union_search_at_64_bits():
     for bits in (60, 61, 62, 63):
         for _ in range(10):
             m = rng.randrange(2 ** (bits - 1), min(2**bits, MODULUS_MAX + 1))
+            assert lucas_period(m).period == union_search_lucas_period(m), m
+    # 5^a k with a >= 2, the one prime power whose Lucas period is not h(p^e)
+    for bits in (60, 61, 62, 63):
+        for _ in range(5):
+            a = rng.randrange(2, 26)
+            low, high = 2 ** (bits - 1), min(2**bits, MODULUS_MAX + 1)
+            k = rng.randrange(-(-low // 5**a), high // 5**a)
+            m = 5**a * k
+            assert low <= m < high
             assert lucas_period(m).period == union_search_lucas_period(m), m

@@ -207,6 +207,15 @@ def test_periods_at_the_domain_boundaries():
     assert lucas_pair(h_lucas, 10 * p).as_tuple() == (2, 1)
     for q in factorize(h_lucas).primes():
         assert lucas_pair(h_lucas // q, 10 * p).as_tuple() != (2, 1), q
+    # 5^27 is in the domain and h(5^27) = 4 * 5^27 > 2^64 - 1, but
+    # h_L(5^27) = 4 * 5^26 fits
+    with pytest.raises(PeriodOverflowError, match=r"for 5\^27 exceeds"):
+        pisano_period(5**27)
+    h_lucas = lucas_period(5**27).period
+    assert 5**27 <= MODULUS_MAX < 4 * 5**27 and h_lucas == 4 * 5**26
+    assert lucas_pair(h_lucas, 5**27).as_tuple() == (2, 1)
+    for q in (2, 5):
+        assert lucas_pair(h_lucas // q, 5**27).as_tuple() != (2, 1), q
 
 
 @pytest.mark.parametrize("m, h, h_lucas, method", [
