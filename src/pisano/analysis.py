@@ -10,12 +10,18 @@ arguments produce byte-identical reports.  The three record scans are each
 one row generator: its CSV rows stream into a sink's ``write_rows`` (the
 CLI's path), into a library ``emit`` as ScanRecords, or are never built.
 
+The filter scan's ``rows=`` takes its FilterReports as they are made, and
+its summary then keeps only the counts and the disagreements; each answer
+is picked from h(p) by divisibility and confirmed by one Lucas ladder
+(``theorems._filter_report``).
+
 No scan factors m: all five read h(m) from one sieve-built
 ``periods.period_table(limit)``, in which each h(p) and each lift is
 computed once and verified, and the filter scan reads each class bound's
 factorization off the same sieve.  Each scan takes that table as
 ``table=`` (``pisano scan --suite all`` builds one and hands it to every
-suite) or builds its own.
+suite) or builds its own.  The wall scan tests each n's multiples as one
+slice of the table.
 A limit too large for the tables is a DomainError before any work starts.
 """
 
@@ -159,20 +165,14 @@ class LucasScanSummary:
 
 @dataclass(frozen=True)
 class FilterScanSummary:
+    """The filter scan's counts and disagreements; ``reports`` holds every
+    FilterReport in ascending p, or is None when they went to ``rows``."""
+
     prime_limit: int
-    reports: tuple[FilterReport, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.reports)
-
-    @property
-    def agreements(self) -> int:
-        return sum(1 for r in self.reports if r.agrees)
-
-    @property
-    def disagreements(self) -> tuple[FilterReport, ...]:
-        return tuple(r for r in self.reports if not r.agrees)
+    total: int
+    agreements: int
+    disagreements: tuple[FilterReport, ...]
+    reports: tuple[FilterReport, ...] | None
 
     @property
     def agreement_rate(self) -> tuple[int, int]:
@@ -365,34 +365,52 @@ def _lucas_rows(limit: int, periods, wanted: bool):
     return LucasScanSummary(limit, limit, (best_num, best_den), tuple(attained))
 
 
-def filter_agreement_scan(prime_limit: int, *,
-                          table: PeriodTable | None = None) -> FilterScanSummary:
+def filter_agreement_scan(prime_limit: int, *, table: PeriodTable | None = None,
+                          rows=None) -> FilterScanSummary:
     """Run the divisor filters on every applicable prime <= prime_limit and
     tally agreement with the true period, read from ``table`` (built here
     when not given).  Disagreements are listed, never suppressed and never
     asserted away; only h(p) membership in the divisor set (the divisibility
-    theorem itself) is enforced."""
+    theorem itself) is enforced.  ``rows`` (say ``lambda reports:
+    write_filter_reports_csv(reports, fh)``) receives an iterable of the
+    FilterReports in ascending p, made as it is read, and ``reports`` is
+    None; a claim violation at p leaves it the reports of every earlier p.
+    Without ``rows``, ``reports`` holds them all."""
     if prime_limit < 0:
         raise DomainError(f"prime limit {prime_limit} must be >= 0")
-    if prime_limit < 2:
-        return FilterScanSummary(prime_limit, ())
-    table = _table_for(prime_limit, table)
-    spf, periods = table.spf, table.period
+    spf = periods = ()
+    if prime_limit >= 2:
+        table = _table_for(prime_limit, table)
+        spf, periods = table.spf, table.period
     sieve_factors = functools.partial(_sieve_factors, spf)
-    reports: list[FilterReport] = []
-    for p in range(3, prime_limit + 1):
-        if spf[p] or p == 5:
-            continue
-        factors = _class_bound(p, sieve_factors)[1]
-        report = _filter_report(p, periods[p], Factorization(tuple(factors.items())))
-        if not report.true_period_in_divisors:
-            raise ClaimViolationError(
-                f"h({p}) = {report.true_period} is not a divisor of the class"
-                f" bound {report.bound}",
-                details=[(p, report.true_period, report.bound)],
-            )
-        reports.append(report)
-    return FilterScanSummary(prime_limit, tuple(reports))
+    total = 0
+    disagreements: list[FilterReport] = []
+
+    def scan():
+        nonlocal total
+        for p in range(3, prime_limit + 1):
+            if spf[p] or p == 5:
+                continue
+            factors = _class_bound(p, sieve_factors)[1]
+            report = _filter_report(p, periods[p], Factorization(tuple(factors.items())))
+            if not report.true_period_in_divisors:
+                raise ClaimViolationError(
+                    f"h({p}) = {report.true_period} is not a divisor of the class"
+                    f" bound {report.bound}",
+                    details=[(p, report.true_period, report.bound)],
+                )
+            total += 1
+            if not report.agrees:
+                disagreements.append(report)
+            yield report
+
+    reports = None
+    if rows is None:
+        reports = tuple(scan())
+    else:
+        rows(scan())
+    return FilterScanSummary(prime_limit, total, total - len(disagreements),
+                             tuple(disagreements), reports)
 
 
 def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
@@ -413,14 +431,17 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
             details=parity_violations,
         )
 
+    # each n's multiples as one slice of the table, tested in one map; an n
+    # that fails has its pairs listed one by one
     divisibility_checked = 0
     divisibility_violations = []
-    for n in range(1, div_limit + 1):
+    for n in range(1, div_limit // 2 + 1):
         hn = periods[n]
-        for m in range(2 * n, div_limit + 1, n):
-            divisibility_checked += 1
-            if periods[m] % hn:
-                divisibility_violations.append((n, m, hn, periods[m]))
+        multiples = periods[2 * n:div_limit + 1:n]
+        divisibility_checked += len(multiples)
+        if any(map(hn.__rmod__, multiples)):
+            divisibility_violations += [(n, k * n, hn, hm)
+                                        for k, hm in enumerate(multiples, 2) if hm % hn]
     if divisibility_violations:
         raise ClaimViolationError(
             f"h(n) | h(m) violated at {divisibility_violations[:10]}",
@@ -490,6 +511,7 @@ def filter_report_obj(report: FilterReport) -> dict:
 
 
 def write_filter_reports_csv(reports, fileobj) -> None:
+    """Writes an iterable of FilterReports, one row each, after the header."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(FILTER_CSV_COLUMNS)
     writer.writerows(
@@ -502,7 +524,13 @@ def write_filter_reports_csv(reports, fileobj) -> None:
 
 
 def write_filter_reports_json(reports, fileobj) -> None:
+    """Writes an iterable of FilterReports, one object a line; the array is
+    closed even when the iterable raises, as JsonRecordSink.close does."""
     fileobj.write("[")
-    fileobj.writelines(("\n" if i == 0 else ",\n") + json.dumps(filter_report_obj(r))
-                       for i, r in enumerate(reports))
-    fileobj.write("\n]\n" if reports else "]\n")
+    prefix = "\n"
+    try:
+        for r in reports:
+            fileobj.write(prefix + json.dumps(filter_report_obj(r)))
+            prefix = ",\n"
+    finally:
+        fileobj.write("]\n" if prefix == "\n" else "\n]\n")

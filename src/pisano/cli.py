@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 
 from .analysis import (
@@ -143,10 +144,27 @@ def cmd_fib_index(args) -> int:
 _SUITES = ("ratio", "irreducible", "lucas", "filters", "wall")
 
 
+class _Counted:
+    """A one-shot iterable whose len() is how many items it has yielded, for
+    bench/tracer.py's filter-writer wrapper, which takes len() after a write."""
+
+    def __init__(self, items):
+        self.items, self.count = items, 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.count += 1
+            yield item
+
+    def __len__(self) -> int:
+        return self.count
+
+
 def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
     """Returns the suite's one-line summary.  Streams rows into the sink
-    (ratio/irreducible/lucas) or writes the report wholesale (filters);
-    every suite reads the one ``period_table(limit)`` passed as table."""
+    (ratio/irreducible/lucas) or each FilterReport into its writer
+    (filters) as the scan makes it; every suite reads the one
+    ``period_table(limit)`` passed as table."""
     rows = None if sink is None else sink.write_rows
     if suite == "ratio":
         s = ratio_scan(limit, table=table, rows=rows)
@@ -164,11 +182,17 @@ def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
         return (f"lucas: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}")
     if suite == "filters":
-        s = filter_agreement_scan(limit, table=table)
-        if report_fh is not None:
+        if report_fh is None:  # summary only: each report is dropped once counted
+            def write(reports):
+                deque(reports, maxlen=0)
+        else:
             writer = (write_filter_reports_json if fmt == "json"
                       else write_filter_reports_csv)
-            writer(s.reports, report_fh)
+
+            def write(reports):
+                writer(_Counted(reports), report_fh)
+
+        s = filter_agreement_scan(limit, table=table, rows=write)
         line = f"filters: {s.agreements}/{s.total} agree with h(p)"
         if s.disagreements:
             primes = [r.prime for r in s.disagreements]

@@ -1,16 +1,18 @@
 """Faithful realizations of the source theorems' own procedures.
 
-The divisor filters and the F_{d+1} = 1 congruence test are implemented
-exactly as stated and *compared* against the ground-truth period; a
-FilterReport records the comparison and never asserts agreement, so any
-unsoundness in the filter conditions surfaces as data instead of a crash.
+The divisor filters are implemented exactly as stated, their F_{d+1} = 1
+congruence test is decided from h(p) and confirmed by one Lucas ladder
+(see ``_filter_report``), and the answer is *compared* against the
+ground-truth period; a FilterReport records the comparison and never
+asserts agreement, so any unsoundness in the filter conditions surfaces as
+data instead of a crash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, PeriodOverflowError
+from .errors import ClaimViolationError, DomainError, PeriodOverflowError
 from .fibmod import Method, PeriodResult, _lucas_ladder, fib_exact
 from .numth import (
     MODULUS_MAX,
@@ -111,21 +113,37 @@ def theorem2_candidates(p: int) -> list[int]:
 def _filter_report(p: int, true_period: int, factors: Factorization) -> FilterReport:
     """The filter of p's class run against h(p) = ``true_period``, over the
     divisors of p's class bound, factored as ``factors``; p must be a prime
-    other than 2 and 5 (not checked here)."""
+    other than 2 and 5 (not checked here).
+
+    The filter's answer is its first candidate d with F_{d+1} = 1 (mod p).
+    Every candidate is even (Theorem 2 asks for it; a divisor of 2p + 2
+    that does not divide p + 1 keeps all of its 2s), and for even d that
+    congruence holds exactly when h | d or h | d + 2, so the answer is read
+    off h.  Proof: let phi and psi = -1/phi be the roots of x^2 - x - 1 in
+    GF(p) or GF(p^2).  For even d, sqrt(5) F_{d+1} = x + 1/x with
+    x = phi^(d+1), and sqrt(5) = phi + 1/phi, so F_{d+1} = 1 exactly when
+    x = phi or x = 1/phi, that is phi^d = 1 or phi^(d+2) = 1; for even n,
+    phi^n = 1 exactly when (0, 1) returns at n, that is h | n.
+
+    The chosen d is confirmed by one Lucas ladder, L_d + L_{d+2} = 5
+    (mod p) (5 F_n = L_{n-1} + L_{n+1} and 5 is a unit mod p), so that a
+    wrong h cannot pass a d that fails F_{d+1} = 1: that is a
+    ClaimViolationError.  No ladder runs when no candidate passes.
+    """
     split = p % 5 in (1, 4)
     all_divisors = divisors(factors)
     candidates = (_theorem2_filter if split else _theorem1_filter)(p, all_divisors)
-    # The filter's own acceptance test is F_{d+1} = 1 (mod p), taken as
-    # L_d + L_{d+2} = 5 (mod p) from one Lucas ladder: 5 F_n = L_{n-1} +
-    # L_{n+1} and 5 is a unit mod p.  Every candidate d is even (Theorem 2
-    # asks for it; a divisor of 2p + 2 that does not divide p + 1 keeps all
-    # of its 2s), so the ladder at d / 2 reaches it.
-    filter_answer = None
-    for d in candidates:
-        lo, hi = _lucas_ladder(d // 2, p)
-        if (lo + hi) % p == 5 % p:
-            filter_answer = d
-            break
+    h = true_period
+    filter_answer = next((d for d in candidates if d % h == 0 or (d + 2) % h == 0),
+                         None)
+    if filter_answer is not None:
+        lo, hi = _lucas_ladder(filter_answer // 2, p)
+        if (lo + hi) % p != 5 % p:
+            raise ClaimViolationError(
+                f"filter answer {filter_answer} for p = {p} fails F_{{d+1}} = 1"
+                f" (mod p) although h({p}) = {h} divides d or d + 2",
+                details=[(p, filter_answer, h)],
+            )
     return FilterReport(
         prime=p,
         bound=all_divisors.source,

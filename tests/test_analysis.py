@@ -7,6 +7,7 @@ import pytest
 
 from pisano.analysis import (
     CSV_COLUMNS,
+    FILTER_CSV_COLUMNS,
     CsvRecordSink,
     Flag,
     JsonRecordSink,
@@ -20,7 +21,7 @@ from pisano.analysis import (
     write_filter_reports_csv,
     write_filter_reports_json,
 )
-from pisano.errors import DomainError
+from pisano.errors import ClaimViolationError, DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
 from pisano.periods import TABLE_METHODS, lucas_period_table, period_table
 
@@ -157,6 +158,43 @@ def test_wall_scan_divisor_limit():
         wall_property_scan(100, divisor_limit=200)
 
 
+def wall_pairs_by_loop(periods, div_limit):
+    """The wall suite's divisibility pass as one Python step per pair:
+    (pairs checked, violations as (n, m, h(n), h(m)))."""
+    checked, violations = 0, []
+    for n in range(1, div_limit + 1):
+        hn = periods[n]
+        for m in range(2 * n, div_limit + 1, n):
+            checked += 1
+            if periods[m] % hn:
+                violations.append((n, m, hn, periods[m]))
+    return checked, violations
+
+
+@pytest.mark.parametrize("limit,divisor_limit", [(1, None), (2, None), (3, None),
+                                                 (400, None), (400, 100), (400, 399),
+                                                 (5000, None)])
+def test_wall_scan_counts_the_pairs_of_the_loop(limit, divisor_limit):
+    table = period_table(limit)
+    s = wall_property_scan(limit, divisor_limit, table=table)
+    div_limit = limit if divisor_limit is None else divisor_limit
+    assert s.divisibility_checked == wall_pairs_by_loop(table.period, div_limit)[0]
+
+
+@pytest.mark.parametrize("m,period", [(60, 122), (7, 18), (400, 2), (199, 200)])
+def test_wall_scan_reports_a_planted_violation_as_the_loop_does(m, period):
+    # an even period keeps the parity pass quiet; the divisibility pass then
+    # lists every pair the loop lists, in the loop's order
+    table = period_table(400)
+    table.period[m] = period
+    violations = wall_pairs_by_loop(table.period, 400)[1]
+    assert violations
+    with pytest.raises(ClaimViolationError) as info:
+        wall_property_scan(400, table=table)
+    assert str(info.value) == f"h(n) | h(m) violated at {violations[:10]}"
+    assert info.value.details == violations
+
+
 def test_scan_record_serialization():
     rec = ScanRecord(10, 60, Method.LCM_COMPOSITION,
                      frozenset({Flag.RATIO_SIX, Flag.NEW_MAXIMUM}))
@@ -219,6 +257,54 @@ def test_filter_report_writers():
         assert d["true_period"] == r.true_period
         assert d["agrees"] == r.agrees
         assert d["all_divisors"] == list(r.all_divisors)
+
+
+FILTER_WRITERS = {"csv": write_filter_reports_csv, "json": write_filter_reports_json}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("limit", [1, 2, 3, 300, 20000])
+def test_streamed_filter_reports_write_the_same_bytes(limit, fmt):
+    writer = FILTER_WRITERS[fmt]
+    table = period_table(limit)
+    collected = filter_agreement_scan(limit, table=table)
+    whole = io.StringIO()
+    writer(collected.reports, whole)
+    streamed = io.StringIO()
+    summary = filter_agreement_scan(limit, table=table,
+                                    rows=lambda reports: writer(reports, streamed))
+    assert streamed.getvalue() == whole.getvalue()
+    assert summary.reports is None
+    assert (summary.total, summary.agreements, summary.disagreements) == (
+        collected.total, collected.agreements, collected.disagreements)
+    if limit < 3:
+        assert whole.getvalue() == ("[]\n" if fmt == "json" else
+                                    ",".join(FILTER_CSV_COLUMNS) + "\n")
+
+
+@pytest.mark.parametrize("limit", [2, 300, 20000])
+def test_filter_scan_counts_match_its_reports(limit):
+    s = filter_agreement_scan(limit)
+    assert s.total == len(s.reports)
+    assert s.agreements == sum(1 for r in s.reports if r.agrees)
+    assert s.disagreements == tuple(r for r in s.reports if not r.agrees)
+    assert s.agreement_rate == (s.agreements, s.total)
+    if limit == 20000:
+        assert (s.total, s.agreements) == (2260, 2259)
+        assert [r.prime for r in s.disagreements] == [19489]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_filter_violation_leaves_the_earlier_reports_with_rows(fmt):
+    writer = FILTER_WRITERS[fmt]
+    clean = io.StringIO()
+    writer(filter_agreement_scan(36).reports, clean)
+    table = period_table(100)
+    table.period[37] = 3 * 37  # not a divisor of 2 * 37 + 2
+    out = io.StringIO()
+    with pytest.raises(ClaimViolationError, match=r"h\(37\) = 111 is not a divisor"):
+        filter_agreement_scan(100, table=table, rows=lambda reports: writer(reports, out))
+    assert out.getvalue() == clean.getvalue()
 
 
 def test_scans_are_deterministic():

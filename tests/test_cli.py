@@ -330,6 +330,50 @@ def test_a_violation_leaves_the_earlier_rows_in_the_report(fmt, capsys, monkeypa
     assert out == clean
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("limit", [1, 2, 3, 300, 20000])
+def test_scan_filters_streams_the_collected_report_bytes(limit, fmt, tmp_path, capsys):
+    writer = {"csv": analysis.write_filter_reports_csv,
+              "json": analysis.write_filter_reports_json}[fmt]
+    summary = analysis.filter_agreement_scan(limit)
+    expected = io.StringIO()
+    writer(summary.reports, expected)
+    line = f"filters: {summary.agreements}/{summary.total} agree with h(p)"
+    if summary.disagreements:
+        line += "; disagreements at {" + ",".join(
+            str(r.prime) for r in summary.disagreements) + "}"
+    code, out, err = run(capsys, "scan", "--suite", "filters", "--limit", str(limit),
+                         "--emit", fmt)
+    assert (code, out, err) == (0, expected.getvalue(), line + "\n")
+    path = tmp_path / f"filters.{fmt}"
+    code, out, err = run(capsys, "scan", "--suite", "filters", "--limit", str(limit),
+                         "--emit", fmt, "--out", str(path))
+    assert (code, out, err) == (0, line + "\n", "")
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_filter_violation_leaves_the_earlier_rows_in_the_report(fmt, capsys,
+                                                                   monkeypatch):
+    code, clean, _ = run(capsys, "scan", "--suite", "filters", "--emit", fmt,
+                         "--limit", "28")
+    assert code == 0
+
+    def table_breaking_29(limit):
+        table = periods.period_table(limit)
+        table.period[29] = 4  # picks d = 4, and F_5 = 5 (mod 29)
+        return table
+
+    monkeypatch.setattr(cli, "period_table", table_breaking_29)
+    code, out, err = run(capsys, "scan", "--suite", "filters", "--emit", fmt,
+                         "--limit", "100")
+    assert code == 3
+    assert err == ("error: filter answer 4 for p = 29 fails F_{d+1} = 1 (mod p)"
+                   " although h(29) = 4 divides d or d + 2\n")
+    # the rows of 3..23, closed as a clean run closes them
+    assert out == clean
+
+
 def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
     calls = {"period_table": 0, "lucas_period_table": 0}
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from pisano.errors import DomainError, PeriodOverflowError
+from pisano.errors import ClaimViolationError, DomainError, PeriodOverflowError
 from pisano.analysis import filter_agreement_scan
-from pisano.fibmod import Method, _fib_pair_ints, fib_exact, fib_pair
+from pisano.fibmod import Method, _fib_pair_ints, _lucas_ladder, fib_exact, fib_pair
 from pisano.numth import divisors, factorize, is_prime, primes_up_to
-from pisano.periods import prime_period, pisano_period
+from pisano.periods import period_table, prime_period, pisano_period
 from pisano.theorems import (
     FilterReport,
     fib_index_period,
@@ -149,6 +149,56 @@ def test_filter_reports_match_the_reference_at_64_bits(residues):
             if p % 5 in residues and is_prime(p):
                 break
         assert run(p) == reference_filter_report(p), p
+
+
+def ladder_walk_answer(p: int, candidates) -> int | None:
+    """The filter answer as the scan found it before it read h(p): the
+    first candidate d with L_d + L_(d+2) = 5 (mod p), one ladder each."""
+    for d in candidates:
+        lo, hi = _lucas_ladder(d // 2, p)
+        if (lo + hi) % p == 5 % p:
+            return d
+    return None
+
+
+def test_filter_answer_by_divisibility_matches_the_ladder_walk():
+    reports = filter_agreement_scan(10**5).reports
+    assert len(reports) == 9590
+    for rep in reports:
+        assert rep.filter_answer == ladder_walk_answer(rep.prime, rep.surviving), rep.prime
+    rng = random.Random(1149)
+    for i in range(40):
+        bits = 40 + i % 9
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        while not is_prime(p):
+            p += 2
+        rep = theorem2_period(p) if p % 5 in (1, 4) else theorem1_period(p)
+        assert rep.filter_answer == ladder_walk_answer(p, rep.surviving), p
+
+
+def test_filter_disagreements_answer_h_minus_two():
+    # F_(d+1) = 1 holds for h | d + 2 as well as h | d: at these primes a
+    # candidate h - 2 survives and comes first
+    s = filter_agreement_scan(10**5)
+    assert [(r.prime, r.true_period, r.filter_answer) for r in s.disagreements] == [
+        (19489, 58, 56), (31249, 126, 124)]
+    assert (s.total, s.agreements) == (9590, 9588)
+    for p, h in ((144481, 86), (146521, 222)):
+        rep = theorem2_period(p) if p % 5 in (1, 4) else theorem1_period(p)
+        assert (rep.true_period, rep.filter_answer) == (h, h - 2), p
+
+
+def test_a_wrong_period_that_picks_a_failing_d_is_a_claim_violation():
+    # p = 29 keeps 4, 14 and 28; F_5 = 5 (mod 29), so h = 4 would pick a d
+    # the confirming ladder rejects
+    table = period_table(100)
+    assert (table.period[29], theorem2_period(29).surviving) == (14, (4, 14, 28))
+    assert fib_pair(4, 29).hi != 1
+    table.period[29] = 4
+    with pytest.raises(ClaimViolationError, match=r"p = 29\b") as info:
+        filter_agreement_scan(100, table=table)
+    assert info.value.details == [(29, 4, 4)]
+    assert "h(29) = 4" in str(info.value)
 
 
 def test_fpr_known_roots():

@@ -26,3 +26,19 @@ def test_tracer_installs_and_uninstalls_on_every_name():
     finally:
         tracer.uninstall()
     assert (periods.factorize, periods.lcm, cli.pisano_period, cli.main) == before
+
+
+def test_traced_filter_writer_counts_the_streamed_reports(tmp_path, capsys):
+    # the tracer's writer wrapper takes len() of the reports after the
+    # write, so the streamed reports must still have one
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["scan", "--suite", "filters", "--limit", "300",
+                         "--out", str(tmp_path / "filters.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert capsys.readouterr().out == "filters: 60/60 agree with h(p)\n"
+    rows = (tmp_path / "filters.csv").read_text(encoding="utf-8").splitlines()
+    assert tracer.counters["analysis.sink.records"] == len(rows) - 1 == 60
