@@ -5,13 +5,12 @@ a subgroup h*Z, so h is found by dividing each prime out of a known multiple
 while the pair still returns.  One recipe serves point queries and range
 tables alike: h(p) is divided down from the class bound (2p+2 for
 p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and prime
-powers compose by lcm.  For p = +-1 mod 5 the return test at n is the
-builtin pow(g, n, p) == 1 with n even, for a root g of x^2 - x - 1; for
-p = +-2 mod 5 it is L_n = 2 (mod p) with n even, from the Lucas ladder
-``fibmod._lucas_ladder``, and the power of 2 in 2p+2 is never divided out,
-because h(p) divides 2p+2 but not p+1.  2, 5 and prime powers test each n
-by fast doubling (``_pair_order``).  A shortcut test only divides down:
-one fast doubling of (0, 1) checks each result.
+powers compose by lcm.  For every prime but 5 the return test at n is
+L_n = 2 (mod p) with n even, from the Lucas ladder ``fibmod._lucas_ladder``,
+and for p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because
+h(p) divides 2p+2 but not p+1.  5 and prime powers test each n by fast
+doubling (``_pair_order``).  The ladder only divides down: one fast
+doubling of (0, 1) checks each result.
 
 The Lucas period h_L(m), the order of (2, 1), needs no search of its own.
 The step T is linear and commutes with T^n, and (2, 1) and T(2, 1) = (1, 3)
@@ -53,7 +52,6 @@ from .numth import (  # noqa: F401
     U64_MAX,
     _factor_pairs,
     _sieve_factors,
-    _sqrt_mod_prime,
     _zeroed,
     divisors,
     factorize,
@@ -66,8 +64,9 @@ from .numth import (  # noqa: F401
 class PrimeClass(enum.Enum):
     """Trichotomy of primes by residue mod 5, with 2 and 5 set apart.
 
-    SPLIT: x^2 - x - 1 has two roots g and -1/g mod p, so h(p) | p - 1, and
-    (0, 1) returns at n exactly when n is even and g^n = 1.
+    SPLIT: x^2 - x - 1 has two roots phi and psi = -1/phi mod p, so
+    h(p) | p - 1, and (0, 1) returns at n exactly when n is even and
+    L_n = phi^n + phi^-n = 2.
     IRREDUCIBLE: no roots mod p; the root phi in GF(p^2) has
     phi^(p+1) = -1, so h(p) | 2p + 2 but not p + 1, and
     v2(h(p)) = v2(2p + 2).
@@ -150,35 +149,29 @@ def _prime_order(p: int, bound: int, primes) -> int:
     """h(p) for a prime p, divided down from its class bound ``bound`` by
     the bound's primes ``primes``, as ``_class_bound`` gives them.
 
-    h(2) = 3 and h(5) = 20 come from ``_pair_order``, whose result has
-    returned by construction.  Any other p divides down with a test cheaper
-    than a fast doubling, and one fast doubling then checks the result.  An
-    odd n is never a return time, since (phi psi)^n = -1.  Split p: the roots
-    g and -1/g of x^2 - x - 1 are distinct, so (0, 1) returns at n exactly
-    when n is even and g^n = 1, which the builtin pow tests.  Irreducible p:
-    for even n, phi^n psi^n = 1 in GF(p^2), so the Lucas ladder's
-    L_n = phi^n + phi^-n = 2 forces (phi^n - 1)^2 = 0, that is
-    phi^n = psi^n = 1; h(p) divides 2p + 2 but not p + 1, so
-    v2(h(p)) = v2(2p + 2) and 2 is never divided out.
+    h(5) = 20 comes from ``_pair_order``: x^2 - x - 1 has a double root
+    mod 5, and L_4 = 7 = 2 (mod 5) while h(5) = 20.  Every other p divides
+    down with one test, L_n = 2 (mod p) with n even, from the Lucas ladder,
+    and one fast doubling then checks the result.  An odd n is never a
+    return time of an odd p, since (phi psi)^n = -1; the bound 3 of p = 2
+    is odd, so no ladder runs.  For even n, phi^n psi^n = 1 in GF(p) or
+    GF(p^2), so L_n = phi^n + phi^-n = 2 forces (phi^n - 1)^2 = 0, that is
+    phi^n = psi^n = 1, and with phi != psi that is T^n = I.  Irreducible p:
+    h(p) divides 2p + 2 but not p + 1, so v2(h(p)) = v2(2p + 2) and 2 is
+    never divided out.
     """
-    if p in (2, 5):
-        return _pair_order((0, 1), p, bound, [q for q in primes if q != 2])
-    split = p % 5 in (1, 4)
-    if split:
-        g = (1 + _sqrt_mod_prime(5, p)) * ((p + 1) // 2) % p
-        if (g * g - g - 1) % p or 2 * g % p == 1:
-            raise ClaimViolationError(f"{g} is not a simple root of x^2 - x - 1 mod {p}")
-    else:
+    if p % 5 not in (1, 4):
         primes = [q for q in primes if q != 2]
+    if p == 5:
+        return _pair_order((0, 1), p, bound, primes)
     n = bound
     for q in primes:
-        while n % q == 0 and n // q % 2 == 0 and (
-                pow(g, n // q, p) == 1 if split else _lucas_ladder(n // q // 2, p)[0] == 2):
+        while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
             n //= q
     if _fib_pair_ints(n, p) != (0, 1):
         raise ClaimViolationError(
             f"(0, 1) does not return after {n} steps mod {p};"
-            " the pow or ladder test failed (is the input prime?)"
+            " the ladder test failed (is the input prime?)"
         )
     return n
 

@@ -1,9 +1,17 @@
 """Collects acceptance verdict lines and prints them after the run, where
 capture cannot hide them; holds the fixtures several test files share."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from pisano import periods
+
+# The CLI tests start `python -m pisano` in a child, which finds the package
+# only on PYTHONPATH in a checkout that has not been installed.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 _verdicts = []
 

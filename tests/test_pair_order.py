@@ -100,7 +100,7 @@ def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
 
 
 def test_prime_order_checks_a_split_result_by_fast_doubling():
-    # 5 is no return time mod 11 (h(11) = 10); the pow test only divides
+    # 5 is no return time mod 11 (h(11) = 10); the ladder only divides
     # down, so the final fast doubling must catch the bad bound
     with pytest.raises(ClaimViolationError, match="does not return after 5 steps mod 11"):
         _prime_order(11, 5, (5,))
@@ -162,13 +162,20 @@ def test_prime_period_matches_divisor_search_below_1e5():
         assert prime_period(p).period == divisor_search_period(p), p
 
 
+# Split primes with 12 distinct primes in p - 1, and with 2^40 | p - 1, where
+# the ladder divides out 2 up to 40 times before the even guard can stop it
+SPLIT_EXTRAS = (2**61 - 1, *(k * 2**40 + 1 for k in (88, 2097228, 2097243, 4194360, 4194600)))
+
+
 @pytest.mark.parametrize("residues", [(1, 4), (2, 3)], ids=["split", "irreducible"])
 def test_prime_period_matches_divisor_search_at_64_bits(residues):
     rng = random.Random(20260 + residues[0])
-    for bits in (60, 61, 62, 63):
-        for _ in range(2):
-            p = _random_prime(rng, bits, residues)
-            assert prime_period(p).period == divisor_search_period(p), p
+    primes = [_random_prime(rng, bits, residues) for bits in (60, 61, 62, 63) for _ in range(2)]
+    if residues == (1, 4):
+        assert all(is_prime(p) and p % 5 in residues for p in SPLIT_EXTRAS)
+        primes.extend(SPLIT_EXTRAS)
+    for p in primes:
+        assert prime_period(p).period == divisor_search_period(p), p
 
 
 def test_lucas_period_matches_union_search_to_5000():

@@ -69,32 +69,30 @@ def test_period_tables_match_brute_oracle():
 
 
 def test_period_table_primes_match_the_pair_order_recipe():
-    # the recipe the table ran before the split-prime pow test: the order of
-    # (0, 1) divided down from the class bound by every prime of the bound
+    # the fast-doubling recipe: the order of (0, 1) divided down from the
+    # class bound by every prime of the bound
     table = period_table(10**5)
     factors_of = lambda n: dict(factorize(n).factors)  # noqa: E731
     for p in primes_up_to(10**5):
         assert table.period[p] == _pair_order((0, 1), p, *_class_bound(p, factors_of)), p
 
 
-@pytest.fixture
-def corrupt_root_of_101(monkeypatch):
-    """Make the square root of 5 mod 101, a split prime, come back one too
-    large, so g is not a root of x^2 - x - 1."""
-    real = periods._sqrt_mod_prime
+@pytest.mark.parametrize("p", [101, 103], ids=["split", "irreducible"])
+def test_a_lying_ladder_is_a_claim_violation(monkeypatch, p):
+    # a ladder that reports L = 2 at every index mod p divides h(p) down too
+    # far; only the closing fast doubling can tell
+    real = periods._lucas_ladder
     clear_caches()
-    monkeypatch.setattr(periods, "_sqrt_mod_prime",
-                        lambda a, p: real(a, p) + (p == 101))
-    yield
-    clear_caches()
-
-
-def test_a_corrupt_root_is_a_claim_violation(corrupt_root_of_101):
-    for run in (lambda: prime_period(101), lambda: period_table(200)):
-        with pytest.raises(ClaimViolationError, match="not a simple root .* mod 101"):
-            run()
-    assert prime_period(89).period == 44
-    assert period_table(100).period[89] == 44
+    monkeypatch.setattr(periods, "_lucas_ladder",
+                        lambda j, m: (2, 3) if m == p else real(j, m))
+    try:
+        for run in (lambda: prime_period(p), lambda: period_table(200)):
+            with pytest.raises(ClaimViolationError, match=f"does not return after .* mod {p}"):
+                run()
+        assert prime_period(89).period == 44
+        assert period_table(100).period[89] == 44
+    finally:
+        clear_caches()
 
 
 def test_period_table_leaves_the_point_caches_alone():
