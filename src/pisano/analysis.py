@@ -379,7 +379,7 @@ def filter_agreement_scan(prime_limit: int, *, table: PeriodTable | None = None,
     if prime_limit < 0:
         raise DomainError(f"prime limit {prime_limit} must be >= 0")
     spf = periods = ()
-    if prime_limit >= 2:
+    if table is not None or prime_limit >= 2:
         table = _table_for(prime_limit, table)
         spf, periods = table.spf, table.period
     sieve_factors = functools.partial(_sieve_factors, spf)

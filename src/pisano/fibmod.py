@@ -130,19 +130,14 @@ def fib_pair(n: int, m: int) -> ResiduePair:
     return ResiduePair(lo, hi, m)
 
 
-def _lucas_pair_ints(n: int, m: int) -> tuple[int, int]:
-    # L_n = 2 F_{n+1} - F_n and L_{n+1} = 2 F_n + F_{n+1}
-    a, b = _fib_pair_ints(n, m)
-    return (2 * b - a) % m, (2 * a + b) % m
-
-
 def lucas_pair(n: int, m: int) -> ResiduePair:
     """(L_n mod m, L_{n+1} mod m) with L_0 = 2, L_1 = 1."""
     _check_modulus(m)
     if n < 0:
         raise DomainError(f"index {n} must be >= 0")
-    lo, hi = _lucas_pair_ints(n, m)
-    return ResiduePair(lo, hi, m)
+    # L_n = 2 F_{n+1} - F_n and L_{n+1} = 2 F_n + F_{n+1}
+    a, b = _fib_pair_ints(n, m)
+    return ResiduePair((2 * b - a) % m, (2 * a + b) % m, m)
 
 
 def fib_exact(n: int) -> int:

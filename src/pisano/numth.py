@@ -314,7 +314,8 @@ def powmod(a: int, e: int, m: int) -> int:
 
 
 def mod_sqrt(a: int, p: int) -> tuple[int, int] | None:
-    """Square roots of a modulo an odd prime p.
+    """Square roots of a modulo an odd prime p, by Tonelli-Shanks (one power
+    for p = 3 mod 4).
 
     Returns the pair (r, p - r) with r <= p - r when a is a quadratic
     residue, (0, 0) for a = 0, and None for a non-residue.
@@ -327,41 +328,35 @@ def mod_sqrt(a: int, p: int) -> tuple[int, int] | None:
         return (0, 0)
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    r = _sqrt_mod_prime(a, p)
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        # write p-1 = q * 2^s with q odd
+        q = p - 1
+        s = 0
+        while q & 1 == 0:
+            q >>= 1
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            t2 = t
+            i = 0
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            t = t * b % p * b % p
+            c = b * b % p
+            m = i
     r = min(r, p - r)
     return (r, p - r)
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a mod p, for an odd prime p and a nonzero quadratic
-    residue a (unchecked).  Tonelli-Shanks, with the p % 4 == 3 shortcut."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q = p - 1
-    s = 0
-    while q & 1 == 0:
-        q >>= 1
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        t = t * b % p * b % p
-        c = b * b % p
-        m = i
-    return r
 
 
 def multiplicative_order(g: int, p: int, fact_p_minus_1: Factorization) -> int:

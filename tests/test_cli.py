@@ -186,6 +186,24 @@ def test_fib_index_domain(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("m", ["93", "100000", "1000000000"])
+def test_fib_index_beyond_f92_exits_one_at_once(m):
+    # F_m is never built, so neither its digits nor its time are a problem
+    proc = subprocess.run([sys.executable, "-m", "pisano", "fib-index", m],
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: F_{m} exceeds the modulus domain 2^63 - 1 (index {m} > 92)\n"
+
+
+# a strong pseudoprime to every witness base of is_prime, and 2^89 - 1
+@pytest.mark.parametrize("p", ["3317044064679887385961981", str(2**89 - 1)])
+@pytest.mark.parametrize("command", ["classify", "fpr"])
+def test_a_prime_beyond_the_domain_is_a_domain_error(capsys, command, p):
+    code, out, err = run(capsys, command, p)
+    assert (code, out) == (1, "")
+    assert err == f"error: prime {p} exceeds the supported domain 2^63 - 1\n"
+
+
 def test_scan_ratio_summary(capsys):
     code, out, _ = run(capsys, "scan", "--limit", "1000", "--suite", "ratio")
     assert code == 0

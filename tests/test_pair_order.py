@@ -15,7 +15,6 @@ from pisano.periods import (
     _class_bound,
     _pair_order,
     _prime_order,
-    clear_caches,
     lucas_period,
     period_bound,
     pisano_period,
@@ -76,27 +75,12 @@ def test_pair_order_rejects_a_multiple_that_is_not_a_return_time():
         _pair_order((2, 1), 55, 10, (2, 5))
 
 
-def test_lift_escalations_count_factors_of_p_divided_out(monkeypatch):
-    # 7 stands in for a prime with h(p^2) = h(p): mod 49 the pair (0, 1)
-    # seems to return at h(7) = 16, so the lift from 7 * 16 divides one 7 out.
-    real = periods._fib_pair_ints
-
-    def fib_pair_ints(n, m):
-        if m == 49 and n % 16 == 0:
-            return 0, 1
-        return real(n, m)
-
-    clear_caches()
-    try:
-        monkeypatch.setattr(periods, "_fib_pair_ints", fib_pair_ints)
-        res = prime_power_period(7, 2)
-        assert (res.period, res.lift_escalations) == (16, 1)
-        assert pisano_period(2 * 49).lift_escalations == 1
-    finally:
-        monkeypatch.undo()
-        clear_caches()
+def test_lift_escalations_count_factors_of_p_divided_out(wall_sun_sun_seven):
+    # 7 stands in for a prime with h(p^2) = h(p), so the lift from 7 * 16
+    # divides one 7 out
     res = prime_power_period(7, 2)
-    assert (res.period, res.lift_escalations) == (112, 0)
+    assert (res.period, res.lift_escalations) == (16, 1)
+    assert pisano_period(2 * 49).lift_escalations == 1
 
 
 def test_prime_order_checks_a_split_result_by_fast_doubling():
@@ -124,7 +108,6 @@ def test_prime_order_rejects_a_composite_irreducible_input():
 def test_lucas_period_of_a_prime_power_is_its_period_below_1e5():
     # (2, 1) and (1, 3) span (Z/p^e)^2 for p != 5, so the old search never
     # divides h(p^e) down
-    clear_caches()
     for p in primes_up_to(10**5):
         if p == 5:
             continue
@@ -157,7 +140,6 @@ def test_lucas_period_of_a_power_of_five():
 
 
 def test_prime_period_matches_divisor_search_below_1e5():
-    clear_caches()
     for p in primes_up_to(10**5):
         assert prime_period(p).period == divisor_search_period(p), p
 
@@ -179,7 +161,6 @@ def test_prime_period_matches_divisor_search_at_64_bits(residues):
 
 
 def test_lucas_period_matches_union_search_to_5000():
-    clear_caches()
     for m in range(1, 5001):
         assert lucas_period(m).period == union_search_lucas_period(m), m
 

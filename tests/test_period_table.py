@@ -25,7 +25,6 @@ from pisano.periods import (
     TABLE_METHODS,
     _class_bound,
     _pair_order,
-    clear_caches,
     lucas_period,
     lucas_period_table,
     period_table,
@@ -82,23 +81,13 @@ def test_a_lying_ladder_is_a_claim_violation(monkeypatch, p):
     # a ladder that reports L = 2 at every index mod p divides h(p) down too
     # far; only the closing fast doubling can tell
     real = periods._lucas_ladder
-    clear_caches()
     monkeypatch.setattr(periods, "_lucas_ladder",
                         lambda j, m: (2, 3) if m == p else real(j, m))
-    try:
-        for run in (lambda: prime_period(p), lambda: period_table(200)):
-            with pytest.raises(ClaimViolationError, match=f"does not return after .* mod {p}"):
-                run()
-        assert prime_period(89).period == 44
-        assert period_table(100).period[89] == 44
-    finally:
-        clear_caches()
-
-
-def test_period_table_leaves_the_point_caches_alone():
-    clear_caches()
-    lucas_period_table(period_table(1000))
-    assert periods._prime_power.cache_info().currsize == 0
+    for run in (lambda: prime_period(p), lambda: period_table(200)):
+        with pytest.raises(ClaimViolationError, match=f"does not return after .* mod {p}"):
+            run()
+    assert prime_period(89).period == 44
+    assert period_table(100).period[89] == 44
 
 
 def test_ratio_scan_records_match_point_path():
@@ -184,6 +173,19 @@ def test_a_table_for_another_limit_is_a_domain_error(scan):
     for other in (299, 301):
         with pytest.raises(DomainError, match="period table covers"):
             scan(300, table=period_table(other))
+
+
+def test_period_table_rejects_a_limit_below_one():
+    for limit in (0, -1):
+        with pytest.raises(DomainError, match=f"table limit {limit} must be >= 1"):
+            period_table(limit)
+
+
+@pytest.mark.parametrize("prime_limit", [0, 1])
+def test_filter_scan_checks_a_table_below_prime_limit_two(prime_limit):
+    # no prime to scan, but a table passed is still checked
+    with pytest.raises(DomainError, match="period table covers"):
+        filter_agreement_scan(prime_limit, table=period_table(300))
 
 
 @pytest.mark.parametrize("prime_limit", [0, 1, 2, 3, 5, 2000])

@@ -6,17 +6,17 @@ import pytest
 from pisano import periods
 from pisano.errors import DomainError, PeriodOverflowError
 from pisano.fibmod import Method, brute_period, fib_pair, lucas_brute_period, lucas_pair
-from pisano.numth import MODULUS_MAX, U64_MAX, factorize, primes_up_to
+from pisano.numth import MODULUS_MAX, U64_MAX, factorize, is_prime, primes_up_to
 from pisano.periods import (
     PrimeClass,
     classify_prime,
-    clear_caches,
     lucas_period,
     period_bound,
     pisano_period,
     prime_period,
     prime_power_period,
 )
+from pisano.theorems import fibonacci_primitive_root, theorem1_period, theorem2_period
 
 
 def test_classify_prime_knowns():
@@ -76,6 +76,27 @@ def test_prime_period_rejects_composites():
         prime_period(10)
 
 
+# A strong pseudoprime to all twelve witness bases of is_prime, which is
+# exact only below 2^64, and a Mersenne prime: both lie beyond 2^63 - 1.
+PSEUDOPRIME = 3317044064679887385961981
+BEYOND_THE_DOMAIN = (PSEUDOPRIME, 2**89 - 1, MODULUS_MAX + 1)
+
+
+@pytest.mark.parametrize("entry", [
+    classify_prime, period_bound, prime_period, lambda p: prime_power_period(p, 1),
+    fibonacci_primitive_root, theorem1_period, theorem2_period,
+], ids=["classify_prime", "period_bound", "prime_period", "prime_power_period",
+        "fibonacci_primitive_root", "theorem1_period", "theorem2_period"])
+def test_per_prime_entry_points_reject_p_beyond_the_domain(entry):
+    assert PSEUDOPRIME == 1287836182261 * 2575672364521 and is_prime(PSEUDOPRIME)
+    for p in BEYOND_THE_DOMAIN:
+        with pytest.raises(DomainError, match="exceeds the supported domain 2\\^63 - 1"):
+            entry(p)
+    for p in (1, 0, -7):
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            entry(p)
+
+
 def test_prime_power_known_families():
     for n in range(1, 11):
         assert prime_power_period(2, n).period == 3 * 2 ** (n - 1), n
@@ -102,6 +123,13 @@ def test_prime_power_lift_guard_verifies():
         assert fib_pair(res.period, m).as_tuple() == (0, 1)
 
 
+class Unpowered(int):
+    """An int whose powers fail, so a test can see that none is taken."""
+
+    def __pow__(self, e, mod=None):
+        raise AssertionError(f"{int(self)}^{e} was built")
+
+
 def test_prime_power_domain():
     with pytest.raises(DomainError):
         prime_power_period(6, 2)
@@ -109,6 +137,10 @@ def test_prime_power_domain():
         prime_power_period(3, 0)
     with pytest.raises(PeriodOverflowError):
         prime_power_period(2, 64)
+    # refused before p^e is built: 2^(10^12) would take 125 GB
+    with pytest.raises(PeriodOverflowError):
+        prime_power_period(Unpowered(2), 10**12)
+    assert prime_power_period(2, 62).modulus == 2**62
 
 
 def test_pisano_period_oracle_small_exhaustive():
@@ -277,10 +309,18 @@ def test_prime_power_at_first_power_is_prime_period():
 
 
 def test_results_are_deterministic_across_calls():
-    clear_caches()
     first = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
-    clear_caches()
-    # cold again: the prime-power memo is empty
-    assert periods._prime_power.cache_info().currsize == 0
     second = [(pisano_period(m), lucas_period(m)) for m in range(1, 300)]
     assert first == second
+
+
+def test_a_patched_kernel_leaves_no_stale_period_behind(monkeypatch):
+    # mod 49 the stand-in makes (0, 1) seem to return at h(7) = 16, as if 7
+    # were a Wall-Sun-Sun prime; point queries keep nothing of it
+    real = periods._fib_pair_ints
+    with monkeypatch.context() as patch:
+        patch.setattr(periods, "_fib_pair_ints",
+                      lambda n, m: (0, 1) if m == 49 and n % 16 == 0 else real(n, m))
+        assert pisano_period(49).period == 16
+    assert pisano_period(49).period == 112
+    assert prime_power_period(7, 2).lift_escalations == 0

@@ -286,6 +286,10 @@ def test_fib_index_domain():
     with pytest.raises((DomainError, PeriodOverflowError)):
         fib_index_period(93)  # F_93 falls outside the modulus domain
     assert fib_index_period(92).agrees  # F_92 is the last one inside
+    assert fib_exact(92) <= 2**63 - 1 < fib_exact(93)
+    # refused before F_m is built, whose 20,899 digits no message can print
+    with pytest.raises(PeriodOverflowError, match="index 100000 > 92"):
+        fib_index_period(10**5)
 
 
 def test_candidate_lists_are_subsets_of_bound_divisors():
