@@ -7,8 +7,9 @@ stored value, so 6m equality cannot alias.  Hard assertions raise
 ClaimViolationError with the offending evidence attached.  Each scan is one
 sequential pass; records reach the sink in ascending m, so identical
 arguments produce byte-identical reports.  The three record scans are each
-one row generator: its CSV rows stream into a sink's ``write_rows`` (the
-CLI's path), into a library ``emit`` as ScanRecords, or are never built.
+one row generator: its CSV rows stream into a sink's one write method,
+``write_rows`` (the CLI's path, which the filter report writers share), into
+a library ``emit`` as ScanRecords, or are never built.
 
 The filter scan's ``rows=`` takes its FilterReports as they are made, and
 its summary then keeps only the counts and the disagreements; each answer
@@ -22,7 +23,7 @@ factorization off the same sieve.  Each scan takes that table as
 ``table=`` (``pisano scan --suite all`` builds one and hands it to every
 suite) or builds its own.  The wall scan tests each n's multiples as one
 slice of the table.
-A limit too large for the tables is a DomainError before any work starts.
+A limit below 1 or too large for the tables is a DomainError up front.
 """
 
 from __future__ import annotations
@@ -190,11 +191,6 @@ class WallScanSummary:
 # ---------------------------------------------------------------------------
 # scans
 
-def _check_limit(limit: int) -> None:
-    if limit < 1:
-        raise DomainError(f"scan limit {limit} must be >= 1")
-
-
 def _table_for(limit: int, table: PeriodTable | None) -> PeriodTable:
     """``table``, checked to cover exactly m <= limit, or a new
     ``period_table(limit)`` when it is None."""
@@ -246,7 +242,6 @@ def ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
     per m in ascending order, or ``rows`` (say ``CsvRecordSink.write_rows``)
     an iterable of their CSV rows; ``table`` is ``period_table(limit)``,
     built here when not given."""
-    _check_limit(limit)
     return _drive(emit, rows, _ratio_rows, limit, _table_for(limit, table))
 
 
@@ -296,7 +291,6 @@ def irreducible_product_scan(limit: int, emit=None, *,
     """Over m <= limit built only from odd primes = +-2 (mod 5), assert the
     strict bound h(m) < 4m (checked as 4m - h(m) > 0, exactly).  ``emit``
     and ``rows`` are as in ratio_scan, for the qualifying m only."""
-    _check_limit(limit)
     return _drive(emit, rows, _irreducible_rows, limit, _table_for(limit, table))
 
 
@@ -335,7 +329,6 @@ def lucas_ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
     """Maximum Lucas-period ratio over m <= limit; for limit >= 6 asserts the
     maximum is exactly 4, attained only at m = 6.  ``emit`` and ``rows`` are
     as in ratio_scan."""
-    _check_limit(limit)
     periods = lucas_period_table(_table_for(limit, table))
     return _drive(emit, rows, _lucas_rows, limit, periods)
 
@@ -417,7 +410,6 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
                        table: PeriodTable | None = None) -> WallScanSummary:
     """Assert h(m) is even for 2 < m <= limit and h(n) | h(m) whenever
     n | m <= divisor_limit (defaults to limit)."""
-    _check_limit(limit)
     div_limit = limit if divisor_limit is None else divisor_limit
     if div_limit > limit:
         raise DomainError("divisor_limit cannot exceed limit")
@@ -454,18 +446,15 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
 # report sinks (CSV and JSON, both UTF-8 with LF endings)
 
 class CsvRecordSink:
-    """Streams ScanRecords as CSV rows; header written up front."""
+    """Writes rows as CSV lines under a header of ``columns``."""
 
-    def __init__(self, fileobj):
+    def __init__(self, fileobj, columns=CSV_COLUMNS):
         self._writer = csv.writer(fileobj, lineterminator="\n")
-        self._writer.writerow(CSV_COLUMNS)
-
-    def __call__(self, record: ScanRecord) -> None:
-        self._writer.writerow(record.csv_row())
+        self._writer.writerow(columns)
 
     def write_rows(self, rows) -> None:
-        """Writes an iterable of CSV_COLUMNS tuples, as a scan's ``rows=``
-        hands them, row by row."""
+        """Writes an iterable of row tuples in the order of ``columns``, as a
+        scan's ``rows=`` hands them, row by row."""
         self._writer.writerows(rows)
 
     def close(self) -> None:
@@ -473,64 +462,46 @@ class CsvRecordSink:
 
 
 class JsonRecordSink:
-    """Streams ScanRecords as a JSON array, one object per line."""
+    """Writes rows as a JSON array of objects keyed by ``columns``, one a
+    line; ``close`` ends the array."""
 
-    def __init__(self, fileobj):
-        self._file = fileobj
-        self._count = 0
-        self._file.write("[")
-
-    def __call__(self, record: ScanRecord) -> None:
-        self.write_rows((record.csv_row(),))
+    def __init__(self, fileobj, columns=CSV_COLUMNS):
+        self._file, self._columns = fileobj, columns
+        self._prefix = "\n"  # ",\n" once an object is written
+        fileobj.write("[")
 
     def write_rows(self, rows) -> None:
-        """Writes an iterable of CSV_COLUMNS tuples, one object each."""
+        """Writes an iterable of row tuples, one object each."""
         for row in rows:
-            prefix = ",\n" if self._count else "\n"
-            self._file.write(prefix + json.dumps(dict(zip(CSV_COLUMNS, row))))
-            self._count += 1
+            self._file.write(self._prefix + json.dumps(dict(zip(self._columns, row))))
+            self._prefix = ",\n"
 
     def close(self) -> None:
-        self._file.write("\n]\n" if self._count else "]\n")
+        self._file.write("]\n" if self._prefix == "\n" else "\n]\n")
 
 
 FILTER_CSV_COLUMNS = ("prime", "bound", "true_period", "filter_answer", "agrees",
                       "surviving", "all_divisors")
 
 
-def filter_report_obj(report: FilterReport) -> dict:
-    return {
-        "prime": report.prime,
-        "bound": report.bound,
-        "true_period": report.true_period,
-        "filter_answer": report.filter_answer,
-        "agrees": report.agrees,
-        "surviving": list(report.surviving),
-        "all_divisors": list(report.all_divisors),
-    }
-
-
 def write_filter_reports_csv(reports, fileobj) -> None:
-    """Writes an iterable of FilterReports, one row each, after the header."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(FILTER_CSV_COLUMNS)
-    writer.writerows(
-        (r.prime, r.bound, r.true_period,
-         "" if r.filter_answer is None else r.filter_answer,
+    """Writes an iterable of FilterReports through a CsvRecordSink with the
+    FILTER_CSV_COLUMNS header, one row each: no filter answer is an empty
+    field, and the divisor lists are ';'-joined."""
+    CsvRecordSink(fileobj, FILTER_CSV_COLUMNS).write_rows(
+        (r.prime, r.bound, r.true_period, r.filter_answer,
          "true" if r.agrees else "false",
-         ";".join(map(str, r.surviving)),
-         ";".join(map(str, r.all_divisors)))
+         ";".join(map(str, r.surviving)), ";".join(map(str, r.all_divisors)))
         for r in reports)
 
 
 def write_filter_reports_json(reports, fileobj) -> None:
-    """Writes an iterable of FilterReports, one object a line; the array is
-    closed even when the iterable raises, as JsonRecordSink.close does."""
-    fileobj.write("[")
-    prefix = "\n"
+    """Writes an iterable of FilterReports through a JsonRecordSink keyed by
+    FILTER_CSV_COLUMNS, one object a line; the array is closed even when the
+    iterable raises."""
+    sink = JsonRecordSink(fileobj, FILTER_CSV_COLUMNS)
     try:
-        for r in reports:
-            fileobj.write(prefix + json.dumps(filter_report_obj(r)))
-            prefix = ",\n"
+        sink.write_rows((r.prime, r.bound, r.true_period, r.filter_answer, r.agrees,
+                         list(r.surviving), list(r.all_divisors)) for r in reports)
     finally:
-        fileobj.write("]\n" if prefix == "\n" else "\n]\n")
+        sink.close()

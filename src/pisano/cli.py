@@ -9,6 +9,7 @@ stdout except a machine-readable error object under --json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections import deque
@@ -161,10 +162,9 @@ class _Counted:
 
 
 def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
-    """Returns the suite's one-line summary.  Streams rows into the sink
-    (ratio/irreducible/lucas) or each FilterReport into its writer
-    (filters) as the scan makes it; every suite reads the one
-    ``period_table(limit)`` passed as table."""
+    """Returns the suite's one-line summary.  The scan streams its rows into
+    the sink, or its FilterReports into a filter writer, as it makes them;
+    every suite reads the one ``period_table(limit)`` passed as table."""
     rows = None if sink is None else sink.write_rows
     if suite == "ratio":
         s = ratio_scan(limit, table=table, rows=rows)
@@ -212,32 +212,19 @@ def cmd_scan(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     table = period_table(args.limit)
-    summaries = []
     for suite in suites:
-        fh = None
-        to_stdout = False
-        wants_report = fmt is not None and suite != "wall"
-        if wants_report:
-            if args.out is None:
-                fh, to_stdout = sys.stdout, True
-            else:
-                path = (out_dir / f"{suite}.{fmt}") if out_dir else Path(args.out)
-                fh = open(path, "w", encoding="utf-8", newline="")
-        try:
-            sink = None
-            if wants_report and suite in ("ratio", "irreducible", "lucas"):
-                sink = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
-            try:
-                summaries.append(_run_suite(suite, args.limit, table, sink, fh, fmt))
-            finally:
-                if sink is not None:
-                    sink.close()
-        finally:
-            if fh is not None and not to_stdout:
-                fh.close()
+        with contextlib.ExitStack() as stack:  # closes the sink, then the file
+            fh = sink = None
+            if fmt is not None and suite != "wall":
+                path = (out_dir / f"{suite}.{fmt}") if out_dir else args.out
+                fh = sys.stdout if path is None else stack.enter_context(
+                    open(path, "w", encoding="utf-8", newline=""))
+                if suite != "filters":
+                    sink = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
+                    stack.callback(sink.close)
+            summary = _run_suite(suite, args.limit, table, sink, fh, fmt)
         # with records streaming to stdout, the summary moves to stderr
-        out = sys.stderr if to_stdout else sys.stdout
-        print(summaries[-1], file=out)
+        print(summary, file=sys.stderr if fh is sys.stdout else sys.stdout)
     return 0
 
 

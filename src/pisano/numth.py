@@ -26,8 +26,9 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**63 - 1
 
 
-# Deterministic Miller-Rabin witness tiers (Jaeschke / Sinclair bounds).
-# The final set is valid for all n < 3.3e24, which covers 64-bit inputs.
+# Deterministic Miller-Rabin witness tiers (Jaeschke / Sinclair bounds).  The
+# last set is proven only below psi_12 ~ 3.2e23 (Sorenson and Webster, 2015),
+# a strong pseudoprime to all twelve bases, so is_prime trusts it to U64_MAX.
 _MR_TIERS = (
     (3_215_031_751, (2, 3, 5, 7)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
@@ -96,7 +97,8 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for all n < 2^64 (no probabilistic error).
 
     Trial division by tiny primes, then Miller-Rabin with witness sets known
-    to be exact below the tier bounds.
+    to be exact below the tier bounds.  Above U64_MAX a failed witness still
+    proves n composite, but an n that passes every base is a DomainError.
     """
     if n < 2:
         return False
@@ -126,6 +128,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n > U64_MAX:
+        raise DomainError(f"{n} passes every witness base but exceeds 2^64 - 1")
     return True
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pisano import cli
 from pisano.analysis import (
     CSV_COLUMNS,
     FILTER_CSV_COLUMNS,
@@ -208,7 +209,7 @@ def test_scan_record_serialization():
 def test_csv_sink_format():
     buf = io.StringIO()
     sink = CsvRecordSink(buf)
-    ratio_scan(12, sink)
+    ratio_scan(12, rows=sink.write_rows)
     sink.close()
     text = buf.getvalue()
     assert "\r" not in text
@@ -221,7 +222,7 @@ def test_csv_sink_format():
 def test_json_sink_parses_and_round_trips():
     buf = io.StringIO()
     sink = JsonRecordSink(buf)
-    ratio_scan(12, sink)
+    ratio_scan(12, rows=sink.write_rows)
     sink.close()
     data = json.loads(buf.getvalue())
     assert len(data) == 12
@@ -307,11 +308,36 @@ def test_a_filter_violation_leaves_the_earlier_reports_with_rows(fmt):
     assert out.getvalue() == clean.getvalue()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_cli_report_row_goes_through_a_sinks_write_rows(tmp_path, monkeypatch, fmt):
+    passed = []  # the rows of each write_rows call, in call order
+    for sink_type in (CsvRecordSink, JsonRecordSink):
+        def counting(self, rows, write_rows=sink_type.write_rows):
+            rows = list(rows)
+            passed.append(rows)
+            write_rows(self, rows)
+        monkeypatch.setattr(sink_type, "write_rows", counting)
+    assert cli.main(["scan", "--limit", "300", "--emit", fmt, "--out", str(tmp_path)]) == 0
+    suites = ["ratio", "irreducible", "lucas", "filters"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{suite}.{fmt}" for suite in suites)
+    assert len(passed) == len(suites)
+    for suite, rows in zip(suites, passed):
+        text = (tmp_path / f"{suite}.{fmt}").read_text(encoding="utf-8")
+        assert rows
+        if fmt == "csv":
+            written = list(csv.reader(io.StringIO(text)))[1:]
+            assert written == [["" if v is None else str(v) for v in row] for row in rows]
+        else:
+            written = [list(obj.values()) for obj in json.loads(text)]
+            assert written == json.loads(json.dumps(rows))
+
+
 def test_scans_are_deterministic():
     a = io.StringIO()
-    ratio_scan(150, JsonRecordSink(a))
+    ratio_scan(150, rows=JsonRecordSink(a).write_rows)
     b = io.StringIO()
-    ratio_scan(150, JsonRecordSink(b))
+    ratio_scan(150, rows=JsonRecordSink(b).write_rows)
     assert a.getvalue() == b.getvalue()
 
 
@@ -356,7 +382,7 @@ def report_both_ways(scan, fmt, limit):
 
     def emit(record):
         records.append(record)
-        record_sink(record)
+        record_sink.write_rows((record.csv_row(),))
 
     assert scan(limit, emit) == summary
     row_sink.close()

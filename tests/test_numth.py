@@ -92,6 +92,23 @@ def test_is_prime_large_knowns():
     assert not is_prime(1000000007 * 1000000009)
 
 
+# psi_12, the least strong pseudoprime to all twelve witness bases, a larger
+# one, and the Mersenne prime 2^89 - 1: beyond 2^64 - 1 none is certified
+@pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981,
+                               2**89 - 1])
+def test_is_prime_certifies_no_prime_beyond_64_bits(n):
+    with pytest.raises(DomainError, match="passes every witness base"):
+        is_prime(n)
+
+
+def test_is_prime_beyond_64_bits_still_proves_composites():
+    assert not is_prime(2**89 + 1)
+    with pytest.raises(DomainError, match="passes every witness base"):
+        factorize(3317044064679887385961981)
+    with pytest.raises(DomainError, match="passes every witness base"):
+        mod_sqrt(4, 3317044064679887385961981)
+
+
 def test_is_prime_random_cross_check():
     rng = random.Random(20240815)
     for _ in range(300):

@@ -181,6 +181,16 @@ def test_period_table_rejects_a_limit_below_one():
             period_table(limit)
 
 
+@pytest.mark.parametrize("scan", [ratio_scan, irreducible_product_scan, lucas_ratio_scan,
+                                  wall_property_scan])
+def test_a_scan_limit_below_one_is_a_domain_error(scan):
+    for limit in (0, -1):
+        with pytest.raises(DomainError, match=f"table limit {limit} must be >= 1"):
+            scan(limit)
+        with pytest.raises(DomainError, match="period table covers"):
+            scan(limit, table=period_table(300))
+
+
 @pytest.mark.parametrize("prime_limit", [0, 1])
 def test_filter_scan_checks_a_table_below_prime_limit_two(prime_limit):
     # no prime to scan, but a table passed is still checked
