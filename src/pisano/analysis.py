@@ -32,8 +32,6 @@ import csv
 import enum
 import functools
 import json
-# Unused ProcessPoolExecutor stays: bench/tracer.py wraps it here.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
@@ -52,6 +50,18 @@ from .theorems import FilterReport, _filter_report
 from .numth import primes_up_to  # noqa: F401
 from .periods import lucas_period  # noqa: F401
 from .theorems import theorem1_period, theorem2_period  # noqa: F401
+
+
+def __getattr__(name: str):
+    """``analysis.ProcessPoolExecutor``, imported only when asked for, so
+    ``import pisano`` never loads concurrent.futures and multiprocessing.
+    Its only reader is ``_counted_pool`` in bench/tracer.py; the next
+    benchmark change (ROADMAP item 1) deletes both."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Flag(enum.Enum):

@@ -1,6 +1,10 @@
 """General integer number theory: primality, a smallest-prime-factor sieve,
 factorization, divisors, modular square roots, multiplicative order.
 
+``factorize`` divides out the primes below 1024, then splits what is left
+with Brent's rho, which makes one Pollard p - 1 pass once its rounds pass
+256 steps.
+
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so any number of threads may call these concurrently.
 Python integers are arbitrary precision, so modular products are exact for
@@ -92,6 +96,15 @@ def _sieve_factors(spf, n: int) -> dict[int, int]:
 _TRIAL_PRIMES = tuple(primes_up_to(1024))
 _TRIAL_LIMIT_SQ = 1024 * 1024
 
+# Pollard p - 1.  Stage 1 raises 2 to lcm(1, ..., 1024), the product of the
+# largest power <= 1024 of each trial prime (1,479 bits).  Stage 2 pairs
+# giant steps k * 210, k = 4 .. 120, with the 48 baby steps j < 210 prime to
+# 210, so the differences k * 210 - j cover every prime from 631 to 25,199.
+_P1_EXPONENT = math.lcm(*range(1, 1025))
+_P1_D = 210
+_P1_BABY = tuple(j for j in range(1, _P1_D) if math.gcd(j, _P1_D) == 1)
+_P1_GIANTS = range(4, 121)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for all n < 2^64 (no probabilistic error).
@@ -174,8 +187,37 @@ class Factorization:
         return cls(pairs)
 
 
+def _p_minus_1(n: int) -> int:
+    """A proper divisor of an odd composite n by Pollard's p - 1, or 0.
+
+    It finds a prime factor p of n when p - 1 is 1024-smooth (stage 1) or
+    is a 1024-smooth number times one prime up to 25,199 (stage 2), unless
+    every prime factor of n is caught at once.  Never returns 1 or n.
+    """
+    a = pow(2, _P1_EXPONENT, n)
+    g = math.gcd(a - 1, n)
+    if g == 1:
+        baby = [pow(a, j, n) for j in _P1_BABY]
+        step = pow(a, _P1_D, n)
+        giant = pow(step, _P1_GIANTS[0], n)
+        acc = 1
+        for _ in _P1_GIANTS:
+            for b in baby:
+                acc = acc * (giant - b) % n
+            giant = giant * step % n
+        g = math.gcd(acc, n)
+    return g if 1 < g < n else 0
+
+
 def _brent_rho(n: int, rng: random.Random) -> int:
-    """One non-trivial factor of an odd composite n (Brent's cycle variant)."""
+    """One non-trivial factor of an odd composite n (Brent's cycle variant).
+
+    Rounds up to 256 steps come first: they split most class-bound
+    cofactors.  The first round longer than that is preceded by one
+    ``_p_minus_1`` pass, which stands in for about sqrt(p) rho steps when
+    p - 1 is smooth; when it finds nothing, rho goes on as before.
+    """
+    p_minus_1_done = False
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -183,6 +225,11 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if r > 256 and not p_minus_1_done:
+                p_minus_1_done = True
+                d = _p_minus_1(n)
+                if d:
+                    return d
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -208,7 +255,8 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs for n >= 1 (none for 1); trial
-    division then rho."""
+    division below 1024, then Brent's rho with one p - 1 pass once its
+    rounds pass 256 steps."""
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -242,9 +290,10 @@ def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
 def factorize(n: int, *, seed: int | None = None) -> Factorization:
     """Canonical factorization of n >= 2; callers handle 1 themselves.
 
-    Trial division removes factors below 1024, then Brent's rho with a
-    deterministic primality check splits what remains.  ``seed`` only varies
-    the rho retry stream; the result is the same for every seed.
+    Trial division removes factors below 1024, then Brent's rho, with one
+    Pollard p - 1 pass once its rounds pass 256 steps and a deterministic
+    primality check on every part, splits what remains.  ``seed`` only
+    varies the rho retry stream; the result is the same for every seed.
     """
     if n < 2:
         raise DomainError(f"cannot factor {n}: need n >= 2")

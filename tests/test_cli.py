@@ -87,7 +87,6 @@ def test_period_lucas_of_five_to_the_27th(capsys):
 
 def test_period_factors_the_modulus_once(capsys, monkeypatch):
     m = 2147483629 * 2147483647
-    periods.pisano_period(m)  # warm the memo: only m itself is left to factor
     real, split = numth._brent_rho, []
 
     def brent_rho(n, rng):
@@ -420,6 +419,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "h(10) = 60" in proc.stdout
+
+
+def test_import_leaves_the_process_pool_stack_unloaded():
+    # a fresh interpreter: this one may have loaded concurrent.futures already
+    code = (
+        "import sys, pisano\n"
+        "assert 'concurrent.futures' not in sys.modules, 'loaded on import'\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "assert pisano.analysis.ProcessPoolExecutor is ProcessPoolExecutor\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_usage_error():

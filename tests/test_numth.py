@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pisano import numth
 from pisano.errors import DomainError, PeriodOverflowError
 from pisano.numth import (
     MODULUS_MAX,
@@ -158,6 +159,80 @@ def test_factorize_domain():
     for bad in (1, 0, -1, -100):
         with pytest.raises(DomainError):
             factorize(bad)
+
+
+# Primes near 2^31 for the p - 1 split, with p - 1 factored:
+SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime
+SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime
+SMOOTH_1 = 2147483647  # 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+SMOOTH_2 = 2147483137  # 2^9 * 3 * 23 * 89 * 683
+STAGE2_1 = 2147483713  # 2^6 * 3 * 11 * 251 * 4051
+STAGE2_2 = 2147483867  # 2 * 11 * 67 * 113 * 12893
+
+
+def stage1_gcd(n):
+    return math.gcd(pow(2, math.lcm(*range(1, 1025)), n) - 1, n)
+
+
+@pytest.mark.parametrize("p, q, expected", [
+    (SAFE_1, SAFE_2, 0),  # neither p - 1 is smooth
+    (SMOOTH_1, SMOOTH_2, 0),  # stage 1 catches both: g = n
+    (SMOOTH_1, SAFE_1, SMOOTH_1),  # stage 1 hit
+    (STAGE2_1, SAFE_1, STAGE2_1),  # stage 2 hit, after stage 1 gave 1
+    (STAGE2_1, STAGE2_2, 0),  # stage 2 catches both: g = n
+])
+def test_p_minus_1_returns_a_proper_divisor_or_0(p, q, expected):
+    for r in (p, q):
+        assert trial_is_prime(r)
+    n = p * q
+    assert numth._p_minus_1(n) == expected
+    if STAGE2_1 in (p, q):
+        assert stage1_gcd(n) == 1
+
+
+def seeded_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi) | 1
+        if is_prime(p):
+            return p
+
+
+def test_p_minus_1_never_returns_1_or_n():
+    # a split of 1 or n would push the same part back onto the stack forever
+    rng = random.Random(1501)
+    for _ in range(60):
+        n = math.prod(seeded_prime(rng, 1025, 2**20) for _ in range(rng.randrange(2, 4)))
+        d = numth._p_minus_1(n)
+        assert d == 0 or (1 < d < n and n % d == 0), (n, d)
+
+
+def test_p_minus_1_runs_once_and_only_after_the_short_rho_rounds(monkeypatch):
+    calls = []
+    real = numth._p_minus_1
+
+    def p_minus_1(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numth, "_p_minus_1", p_minus_1)
+    # rho splits factors near 2^12 in far fewer than 256 steps
+    assert factorize(4093 * 4099 * 4111).factors == ((4093, 1), (4099, 1), (4111, 1))
+    assert calls == []
+    n = SAFE_1 * SAFE_2  # p - 1 finds nothing, so rho goes on
+    assert factorize(n).factors == ((SAFE_1, 1), (SAFE_2, 1))
+    assert calls == [n]
+
+
+def test_p_minus_1_and_rho_alone_factor_alike(monkeypatch):
+    # p - 1 splits 17 of these 41; a patched _p_minus_1 of 0 is rho alone
+    rng = random.Random(6211)
+    pairs = [sorted(seeded_prime(rng, 2**30, 2**31) for _ in range(2)) for _ in range(40)]
+    pairs.append([1000000007, 1000000009])
+    with_p_minus_1 = [factorize(p * q).factors for p, q in pairs]
+    monkeypatch.setattr(numth, "_p_minus_1", lambda n: 0)
+    rho_alone = [factorize(p * q).factors for p, q in pairs]
+    for (p, q), a, b in zip(pairs, with_p_minus_1, rho_alone):
+        assert a == b == ((p, 1), (q, 1)), (p, q)
 
 
 def test_factorization_str():
