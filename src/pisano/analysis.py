@@ -28,7 +28,6 @@ A limit below 1 or too large for the tables is a DomainError up front.
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
 import json
@@ -453,19 +452,25 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
 
 
 # ---------------------------------------------------------------------------
-# report sinks (CSV and JSON, both UTF-8 with LF endings)
+# report sinks (CSV and JSON, both UTF-8 with LF endings); each formats a row
+# with one % template: every field is an int, a ';'-joined list of ints or a
+# text from a fixed table, so none ever needs CSV quoting or JSON escaping
+
+_JSON_RECORD = ('{"%s": %%s, "%s": %%s, "%s": %%s, "%s": %%s, "%s": "%%s", "%s": "%%s"}'
+                % CSV_COLUMNS)
+
 
 class CsvRecordSink:
     """Writes rows as CSV lines under a header of ``columns``."""
 
     def __init__(self, fileobj, columns=CSV_COLUMNS):
-        self._writer = csv.writer(fileobj, lineterminator="\n")
-        self._writer.writerow(columns)
+        self._file, self._line = fileobj, ",".join(["%s"] * len(columns)) + "\n"
+        fileobj.write(self._line % columns)
 
     def write_rows(self, rows) -> None:
         """Writes an iterable of row tuples in the order of ``columns``, as a
         scan's ``rows=`` hands them, row by row."""
-        self._writer.writerows(rows)
+        self._file.writelines(map(self._line.__mod__, rows))
 
     def close(self) -> None:
         pass
@@ -473,18 +478,22 @@ class CsvRecordSink:
 
 class JsonRecordSink:
     """Writes rows as a JSON array of objects keyed by ``columns``, one a
-    line; ``close`` ends the array."""
+    line; ``close`` ends the array.  Rows keyed by other columns (filter
+    rows, which hold lists, None and booleans) go through json.dumps."""
 
     def __init__(self, fileobj, columns=CSV_COLUMNS):
-        self._file, self._columns = fileobj, columns
-        self._prefix = "\n"  # ",\n" once an object is written
+        self._file, self._prefix = fileobj, "\n"  # ",\n" once an object is written
+        self._object = (_JSON_RECORD.__mod__ if columns == CSV_COLUMNS
+                        else lambda row: json.dumps(dict(zip(columns, row))))
         fileobj.write("[")
 
     def write_rows(self, rows) -> None:
         """Writes an iterable of row tuples, one object each."""
-        for row in rows:
-            self._file.write(self._prefix + json.dumps(dict(zip(self._columns, row))))
+        objects = map(self._object, rows)
+        for first in objects:  # runs once: the rest follow in one writelines
+            self._file.write(self._prefix + first)
             self._prefix = ",\n"
+            self._file.writelines(map(",\n".__add__, objects))
 
     def close(self) -> None:
         self._file.write("]\n" if self._prefix == "\n" else "\n]\n")
@@ -499,7 +508,8 @@ def write_filter_reports_csv(reports, fileobj) -> None:
     FILTER_CSV_COLUMNS header, one row each: no filter answer is an empty
     field, and the divisor lists are ';'-joined."""
     CsvRecordSink(fileobj, FILTER_CSV_COLUMNS).write_rows(
-        (r.prime, r.bound, r.true_period, r.filter_answer,
+        (r.prime, r.bound, r.true_period,
+         "" if r.filter_answer is None else r.filter_answer,
          "true" if r.agrees else "false",
          ";".join(map(str, r.surviving)), ";".join(map(str, r.all_divisors)))
         for r in reports)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from pisano.analysis import (
 )
 from pisano.errors import ClaimViolationError, DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
+from pisano.numth import U64_MAX, divisors, factorize
 from pisano.periods import TABLE_METHODS, lucas_period_table, period_table
+from pisano.theorems import FilterReport
 
 
 def trial_is_prime(n):
@@ -331,6 +334,188 @@ def test_every_cli_report_row_goes_through_a_sinks_write_rows(tmp_path, monkeypa
         else:
             written = [list(obj.values()) for obj in json.loads(text)]
             assert written == json.loads(json.dumps(rows))
+
+
+# ---------------------------------------------------------------------------
+# the sinks' % templates against the csv.writer and json.dumps writers they
+# replaced, kept here as the oracle
+
+class OracleCsvSink:
+    def __init__(self, fileobj, columns=CSV_COLUMNS):
+        self._writer = csv.writer(fileobj, lineterminator="\n")
+        self._writer.writerow(columns)
+
+    def write_rows(self, rows):
+        self._writer.writerows(rows)
+
+    def close(self):
+        pass
+
+
+class OracleJsonSink:
+    def __init__(self, fileobj, columns=CSV_COLUMNS):
+        self._file, self._columns = fileobj, columns
+        self._prefix = "\n"
+        fileobj.write("[")
+
+    def write_rows(self, rows):
+        for row in rows:
+            self._file.write(self._prefix + json.dumps(dict(zip(self._columns, row))))
+            self._prefix = ",\n"
+
+    def close(self):
+        self._file.write("]\n" if self._prefix == "\n" else "\n]\n")
+
+
+def oracle_filter_csv(reports, fileobj):
+    OracleCsvSink(fileobj, FILTER_CSV_COLUMNS).write_rows(
+        (r.prime, r.bound, r.true_period, r.filter_answer,
+         "true" if r.agrees else "false",
+         ";".join(map(str, r.surviving)), ";".join(map(str, r.all_divisors)))
+        for r in reports)
+
+
+def oracle_filter_json(reports, fileobj):
+    sink = OracleJsonSink(fileobj, FILTER_CSV_COLUMNS)
+    try:
+        sink.write_rows((r.prime, r.bound, r.true_period, r.filter_answer, r.agrees,
+                         list(r.surviving), list(r.all_divisors)) for r in reports)
+    finally:
+        sink.close()
+
+
+SINKS = {"csv": (CsvRecordSink, OracleCsvSink), "json": (JsonRecordSink, OracleJsonSink)}
+FILTER_ORACLES = {"csv": oracle_filter_csv, "json": oracle_filter_json}
+
+
+def sink_text(sink_type, *calls):
+    """What a sink writes for one write_rows call per item of ``calls``."""
+    buf = io.StringIO()
+    sink = sink_type(buf)
+    for rows in calls:
+        sink.write_rows(rows)
+    sink.close()
+    return buf.getvalue()
+
+
+def assert_same_lines(got, want):
+    # texts or bytes, line by line: a failure names the first differing row
+    # and never makes pytest diff two whole reports
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line
+    assert len(got) == len(want)
+
+
+FLAG_SETS = [frozenset(flags) for k in range(len(Flag) + 1)
+             for flags in itertools.combinations(Flag, k)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_record_templates_write_what_the_csv_and_json_modules_wrote(fmt):
+    # every method and flags text a record can carry, which covers the 3 x 8
+    # a scan row can carry, then periods near U64_MAX
+    records = [ScanRecord(m, 6 * m, method, flags) for m, (method, flags) in
+               enumerate(itertools.product(Method, FLAG_SETS), 1)]
+    rows = [r.csv_row() for r in records]
+    rows += [(U64_MAX // 6, U64_MAX - 4, U64_MAX - 4, U64_MAX // 6, "LcmComposition",
+              "RatioSix;NewMaximum;LiftGuardTriggered"),
+             (U64_MAX, U64_MAX, U64_MAX, U64_MAX, "PrimeDivisorSearch", "")]
+    sink, oracle = SINKS[fmt]
+    assert_same_lines(sink_text(sink, rows), sink_text(oracle, rows))
+
+
+def filter_report(p, answer, true_period, surviving):
+    bound = 2 * p + 2
+    return FilterReport(p, bound, divisors(factorize(bound)), surviving, answer,
+                        true_period)
+
+
+EDGE_FILTER_REPORTS = [
+    filter_report(3, 8, 8, (8,)),            # agrees
+    filter_report(7, None, 16, ()),          # no answer and nothing survives
+    filter_report(47, 16, 32, (16, 32)),     # an answer that disagrees
+    filter_report(19489, None, 19490, (19490,)),  # no answer, something survives
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_filter_writers_write_what_the_csv_and_json_modules_wrote(fmt):
+    reports = EDGE_FILTER_REPORTS + list(filter_agreement_scan(300).reports)
+    assert not reports[1].agrees and not reports[2].agrees
+    got, want = io.StringIO(), io.StringIO()
+    FILTER_WRITERS[fmt](reports, got)
+    FILTER_ORACLES[fmt](reports, want)
+    assert_same_lines(got.getvalue(), want.getvalue())
+    if fmt == "csv":
+        assert got.getvalue().splitlines()[2] == "7,16,16,,false,,1;2;4;8;16"
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (0, 0), (2, 0), (1, 1), (0, 3, 0, 2)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sinks_frame_several_write_rows_calls_as_the_oracle_does(fmt, sizes):
+    # one write_rows call per size, that many rows each
+    rows = (ScanRecord(m, 3 * m, Method.LCM_COMPOSITION, frozenset()).csv_row()
+            for m in itertools.count(1))
+    batches = [list(itertools.islice(rows, n)) for n in sizes]
+    sink, oracle = SINKS[fmt]
+    text = sink_text(sink, *batches)
+    assert text == sink_text(oracle, *batches)
+    if fmt == "json":
+        assert json.loads(text) == [dict(zip(CSV_COLUMNS, row)) for batch in batches
+                                    for row in batch]
+        if not any(batches):
+            assert text == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_filter_writer_that_raises_part_way_leaves_the_earlier_rows(fmt):
+    def reports():
+        yield from EDGE_FILTER_REPORTS[:3]
+        raise ClaimViolationError("stop")
+
+    got, want = io.StringIO(), io.StringIO()
+    with pytest.raises(ClaimViolationError):
+        FILTER_WRITERS[fmt](reports(), got)
+    with pytest.raises(ClaimViolationError):
+        FILTER_ORACLES[fmt](reports(), want)
+    assert got.getvalue() == want.getvalue()
+    if fmt == "json":  # a closed array of the three rows
+        assert [d["prime"] for d in json.loads(got.getvalue())] == [3, 7, 47]
+    else:
+        assert len(got.getvalue().splitlines()) == 4
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("suite", ["ratio", "irreducible", "lucas", "filters", "wall", "all"])
+def test_scan_reports_match_the_oracle_writers_byte_for_byte(
+        tmp_path, monkeypatch, capsys, suite, fmt, to_stdout):
+    def run(name):
+        """(exit code, stdout, stderr, {report name: bytes}) of one scan."""
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        args = ["scan", "--suite", suite, "--limit", "300", "--emit", fmt]
+        if not to_stdout:
+            args += ["--out", str(out_dir if suite == "all" else out_dir / f"report.{fmt}")]
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        return code, out, err, {path.name: path.read_bytes()
+                                for path in sorted(out_dir.iterdir())}
+
+    got = run("got")
+    monkeypatch.setattr(cli, "CsvRecordSink", OracleCsvSink)
+    monkeypatch.setattr(cli, "JsonRecordSink", OracleJsonSink)
+    monkeypatch.setattr(cli, "write_filter_reports_csv", oracle_filter_csv)
+    monkeypatch.setattr(cli, "write_filter_reports_json", oracle_filter_json)
+    want = run("want")
+    assert got[0] == want[0] == 0
+    assert got[2] == want[2]
+    assert_same_lines(got[1], want[1])
+    assert list(got[3]) == list(want[3])
+    for name, report in want[3].items():
+        assert_same_lines(got[3][name], report)
+    assert bool(got[3]) == (not to_stdout and suite != "wall")
 
 
 def test_scans_are_deterministic():

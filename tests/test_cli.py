@@ -422,10 +422,12 @@ def test_module_entry_point():
 
 
 def test_import_leaves_the_process_pool_stack_unloaded():
-    # a fresh interpreter: this one may have loaded concurrent.futures already
+    # a fresh interpreter: this one may have loaded concurrent.futures and csv
+    # already; the report sinks format rows with % templates, not csv
     code = (
         "import sys, pisano\n"
         "assert 'concurrent.futures' not in sys.modules, 'loaded on import'\n"
+        "assert 'csv' not in sys.modules, 'csv loaded on import'\n"
         "from concurrent.futures import ProcessPoolExecutor\n"
         "assert pisano.analysis.ProcessPoolExecutor is ProcessPoolExecutor\n"
     )
