@@ -64,7 +64,8 @@ def __getattr__(name: str):
 
 
 class Flag(enum.Enum):
-    """Per-record markers attached during scans."""
+    """Per-record markers attached during scans, in the order a flags text
+    lists them, which the README's "Report schema" fixes."""
 
     RATIO_SIX = "RatioSix"
     NEW_MAXIMUM = "NewMaximum"
@@ -72,18 +73,11 @@ class Flag(enum.Enum):
     LIFT_GUARD_TRIGGERED = "LiftGuardTriggered"
 
 
-_FLAG_ORDER = (
-    Flag.RATIO_SIX,
-    Flag.NEW_MAXIMUM,
-    Flag.FILTER_DISAGREEMENT,
-    Flag.LIFT_GUARD_TRIGGERED,
-)
-
 CSV_COLUMNS = ("m", "period", "ratio_num", "ratio_den", "method", "flags")
 
 
 def _flags_text(flags) -> str:
-    return ";".join(f.value for f in _FLAG_ORDER if f in flags)
+    return ";".join(f.value for f in Flag if f in flags)
 
 
 # The flags a scan row can carry; a row indexes the flags text of each

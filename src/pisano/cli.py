@@ -45,24 +45,21 @@ from .periods import lucas_period, pisano_period  # noqa: F401
 from .theorems import fib_index_period, fibonacci_primitive_root
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be a positive integer")
-    return value
+def _int_at_least(low: int, rule: str):
+    """An argparse type: an integer >= low, or a usage error ending in ``rule``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} {rule}")
+        return value
+    return parse
 
 
-def nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 0")
-    return value
+positive_int = _int_at_least(1, "must be a positive integer")
+nonneg_int = _int_at_least(0, "must be >= 0")
 
 
 def _fmt_ratio(num: int, den: int) -> str:
@@ -211,6 +208,8 @@ def cmd_scan(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # with records streaming to stdout, every summary goes to stderr
+    summary_fh = sys.stderr if fmt is not None and args.out is None else sys.stdout
     table = period_table(args.limit)
     for suite in suites:
         with contextlib.ExitStack() as stack:  # closes the sink, then the file
@@ -223,8 +222,7 @@ def cmd_scan(args) -> int:
                     sink = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
                     stack.callback(sink.close)
             summary = _run_suite(suite, args.limit, table, sink, fh, fmt)
-        # with records streaming to stdout, the summary moves to stderr
-        print(summary, file=sys.stderr if fh is sys.stdout else sys.stdout)
+        print(summary, file=summary_fh)
     return 0
 
 

@@ -267,23 +267,20 @@ def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             counts[p] = e
-    if n > 1:
-        if n < _TRIAL_LIMIT_SQ or is_prime(n):
-            counts[n] = counts.get(n, 0) + 1
-        else:
+    # no part has a prime factor <= min(1024, its square root): below 1024^2 it is prime
+    stack, rng = ([n] if n > 1 else []), None
+    while stack:
+        v = stack.pop()
+        if v < _TRIAL_LIMIT_SQ or is_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        if rng is None:
             # Deterministic by default: the rho retry stream is derived from
             # (n, seed) so failures reproduce without an explicit seed.
             material = n * 0x9E3779B97F4A7C15 ^ (0 if seed is None else seed)
             rng = random.Random(material & U64_MAX)
-            stack = [n]
-            while stack:
-                v = stack.pop()
-                if is_prime(v):
-                    counts[v] = counts.get(v, 0) + 1
-                    continue
-                d = _brent_rho(v, rng)
-                stack.append(d)
-                stack.append(v // d)
+        d = _brent_rho(v, rng)
+        stack += (d, v // d)
     return sorted(counts.items())
 
 

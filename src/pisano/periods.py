@@ -35,7 +35,7 @@ import enum
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
 # Unused divisors and lucas_brute_period stay: bench/tracer.py wraps them here.
@@ -197,19 +197,11 @@ def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     return value, escalations
 
 
-def _prime_power(p: int, e: int) -> tuple[int, int]:
-    """(h(p^e), lift escalations)."""
-    if e > 1:
-        return _lift(p, p**e, _prime_power(p, 1)[0])
-    # factorize is looked up here at call time, where bench/tracer.py counts it
-    return _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n).factors))), 0
-
-
 def prime_period(p: int) -> PeriodResult:
     """h(p) as the order of (0, 1) mod p, found by dividing primes out of
     the class bound; 2 -> 3 and 5 -> 20."""
     _check_prime(p)
-    return PeriodResult(p, _prime_power(p, 1)[0], Method.PRIME_DIVISOR_SEARCH)
+    return _period(p, ((p, 1),))
 
 
 def prime_power_period(p: int, e: int) -> PeriodResult:
@@ -220,23 +212,26 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
     # p >= 2, so p^e >= 2^63 from e = 63 on: no need to build it
     if e >= 63 or (pe := p**e) > MODULUS_MAX:
         raise PeriodOverflowError(f"{p}^{e} exceeds the modulus domain 2^63 - 1")
-    value, escalations = _prime_power(p, e)
-    return PeriodResult(pe, value, Method.PRIME_POWER_LIFT, escalations)
+    return replace(_period(pe, ((p, e),)), method=Method.PRIME_POWER_LIFT)
 
 
 def _period(m: int, pairs, lucas: bool = False) -> PeriodResult:
     """h(m), or h_L(m) with ``lucas``, from the (prime, exponent) pairs of
-    m: each prime power's period, composed by lcm; m = 1 has no pairs.  The
-    Lucas pair returns mod m exactly when it returns mod every p^e || m, at
-    h(p^e) for p != 5 and at 4 * 5^(e-1) for p = 5."""
+    m: each h(p) divided down from its class bound, lifted to h(p^e) for
+    e > 1, and composed by lcm; m = 1 has no pairs.  The Lucas pair returns
+    mod m exactly when it returns mod every p^e || m, at h(p^e) for p != 5
+    and at 4 * 5^(e-1) for p = 5."""
     period = 1
     escalations = 0
     for p, e in pairs:
         if lucas and p == 5:
-            value, esc = _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5)), 0
+            value = _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5))
         else:
-            value, esc = _prime_power(p, e)
-        escalations += esc
+            # factorize is looked up here at call time, where bench/tracer.py counts it
+            value = _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n))))
+            if e > 1:
+                value, esc = _lift(p, p**e, value)
+                escalations += esc
         period = lcm(period, value)
     if lucas or (len(pairs) == 1 and pairs[0][1] == 1):
         method = Method.PRIME_DIVISOR_SEARCH

@@ -24,7 +24,7 @@ from pisano.analysis import (
     write_filter_reports_json,
 )
 from pisano.errors import ClaimViolationError, DomainError
-from pisano.fibmod import Method, brute_period, lucas_brute_period
+from pisano.fibmod import Method, brute_period, lucas_brute_period, lucas_pair
 from pisano.numth import U64_MAX, divisors, factorize
 from pisano.periods import TABLE_METHODS, lucas_period_table, period_table
 from pisano.theorems import FilterReport
@@ -207,6 +207,12 @@ def test_scan_record_serialization():
     assert tuple(obj) == CSV_COLUMNS
     assert obj["flags"] == "RatioSix;NewMaximum"
     assert obj["method"] == "LcmComposition"
+
+
+def test_flags_text_keeps_the_schema_order():
+    # the README's "Report schema" fixes the order of every flags text
+    every = ScanRecord(50, 300, Method.LCM_COMPOSITION, frozenset(Flag))
+    assert every.flags_text() == "RatioSix;NewMaximum;FilterDisagreement;LiftGuardTriggered"
 
 
 def test_csv_sink_format():
@@ -603,3 +609,30 @@ def test_rows_and_records_agree_on_an_injected_lift(wall_sun_sun_seven, scan, fm
 def test_a_scan_takes_emit_or_rows_not_both():
     with pytest.raises(TypeError, match="not both"):
         ratio_scan(10, print, rows=list)
+
+
+@pytest.mark.parametrize("scan, m, period, message, details", [
+    (ratio_scan, 10, 30, "6m equality set [50] differs from expected [10, 50]",
+     [("equality_set", [50], [10, 50])]),
+    (irreducible_product_scan, 3, 12,
+     "irreducible-product bound violated: h(3) = 12 >= 12", [(3, 12)]),
+    # h_L(7) = 28 ties the maximum 24/6 of m = 6
+    (lucas_ratio_scan, 7, 28,
+     "Lucas maximum expected 4 at m = 6 only; got 24/6 attained at [6, 7]",
+     [("lucas_max", 24, 6, [6, 7])]),
+    (wall_property_scan, 7, 15, "h(m) parity violated at [(7, 15)]", [(7, 15)]),
+], ids=["ratio", "irreducible", "lucas", "wall"])
+def test_a_planted_period_fails_its_scan(scan, m, period, message, details):
+    table = period_table(100)
+    table.period[m] = period
+    with pytest.raises(ClaimViolationError) as caught:
+        scan(100, table=table)
+    assert str(caught.value) == message
+    assert caught.value.details == details
+
+
+def test_negative_filter_limit_and_lucas_index_are_domain_errors():
+    with pytest.raises(DomainError, match="prime limit -1 must be >= 0"):
+        filter_agreement_scan(-1)
+    with pytest.raises(DomainError, match="index -1 must be >= 0"):
+        lucas_pair(-1, 5)

@@ -5,11 +5,12 @@ import json
 import multiprocessing.process
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pisano import analysis, cli, numth, periods
+from pisano import analysis, cli, numth, periods, theorems
 from pisano.cli import main
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
@@ -442,3 +443,38 @@ def test_module_entry_point_usage_error():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("period", "x"), "argument m: 'x' is not an integer"),
+    (("fib", "x", "--mod", "5"), "argument n: 'x' is not an integer"),
+    (("fib", "-1", "--mod", "5"), "argument n: '-1' must be >= 0"),
+    (("period", "0"), "argument m: '0' must be a positive integer"),
+])
+def test_an_integer_argument_out_of_its_rule_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: {message}\n")
+
+
+def test_fib_index_mismatch_exits_three(capsys, monkeypatch):
+    real = theorems.pisano_period
+    monkeypatch.setattr(theorems, "pisano_period",
+                        lambda m: replace(real(m), period=2 * real(m).period))
+    code, out, err = run(capsys, "fib-index", "10")
+    assert code == 3
+    assert out == "F_10 = 55\npredicted: 20\ncomputed: 40 (FibIndexLaw)\nMISMATCH\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_records_alone_reach_stdout(fmt, tmp_path, capsys):
+    # every summary, the wall suite's included, goes to stderr
+    code, summaries, _ = run(capsys, "scan", "--suite", "all", "--limit", "300",
+                             "--emit", fmt, "--out", str(tmp_path))
+    assert code == 0
+    reports = "".join((tmp_path / f"{suite}.{fmt}").read_text(encoding="utf-8")
+                      for suite in cli._SUITES if suite != "wall")
+    code, out, err = run(capsys, "scan", "--suite", "all", "--limit", "300",
+                         "--emit", fmt)
+    assert (code, out, err) == (0, reports, summaries)

@@ -408,3 +408,18 @@ def test_multiplicative_order_domain():
         multiplicative_order(0, 7, factorize(6))
     with pytest.raises(DomainError):
         multiplicative_order(3, 7, factorize(8))  # wrong group order
+
+
+def test_factoring_a_semiprime_tests_each_part_for_primality_once(monkeypatch):
+    # two 31-bit primes: trial division leaves n whole, and rho splits it
+    p, q = 2147483629, 2147483647
+    tested = []
+    real = numth.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numth, "is_prime", counting)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert sorted(tested) == [p, q, p * q]

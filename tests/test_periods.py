@@ -326,3 +326,19 @@ def test_a_patched_kernel_leaves_no_stale_period_behind(monkeypatch):
         assert pisano_period(49).period == 16
     assert pisano_period(49).period == 112
     assert prime_power_period(7, 2).lift_escalations == 0
+
+
+def test_prime_power_period_of_a_first_power_reports_the_lift():
+    for p in (2, 3, 5, 7, 11, 2**31 - 1):
+        res = prime_power_period(p, 1)
+        assert res.method is Method.PRIME_POWER_LIFT, p
+        assert (res.modulus, res.period, res.lift_escalations) == (
+            p, prime_period(p).period, 0)
+
+
+def test_prime_period_is_the_point_query_at_a_prime():
+    for p in (2, 3, 5, 7, 11, 101, 2**31 - 1, 2**61 - 1, 999999999999999989):
+        res = prime_period(p)
+        assert res == pisano_period(p), p
+        assert res.method is Method.PRIME_DIVISOR_SEARCH
+        assert res.lift_escalations == 0
