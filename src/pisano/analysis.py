@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError
@@ -233,8 +234,7 @@ def _drive(emit, rows, scan_rows, *args):
         for row in run(True):
             emit(ScanRecord(row[0], row[1], Method(row[4]), _FLAGS_OF_TEXT[row[5]]))
     else:
-        for _ in run(False):
-            pass
+        deque(run(False), maxlen=0)
     return summary[0]
 
 
@@ -417,6 +417,8 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
     if div_limit > limit:
         raise DomainError("divisor_limit cannot exceed limit")
     periods = _table_for(limit, table).period
+    if div_limit < 0:
+        raise DomainError(f"divisor_limit {div_limit} must be >= 0")
 
     parity_violations = [(m, periods[m]) for m in range(3, limit + 1)
                          if periods[m] % 2]

@@ -158,11 +158,11 @@ class _Counted:
         return self.count
 
 
-def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
-    """Returns the suite's one-line summary.  The scan streams its rows into
-    the sink, or its FilterReports into a filter writer, as it makes them;
-    every suite reads the one ``period_table(limit)`` passed as table."""
-    rows = None if sink is None else sink.write_rows
+def _run_suite(suite: str, limit: int, table, rows):
+    """Returns the suite's one-line summary.  The scan streams its rows, or
+    the filter suite its FilterReports, into ``rows`` as it makes them; with
+    rows None no row is made and each report is dropped once counted.  Every
+    suite reads the one ``period_table(limit)`` passed as table."""
     if suite == "ratio":
         s = ratio_scan(limit, table=table, rows=rows)
         return (f"ratio: {s.records} moduli; max ratio "
@@ -179,17 +179,8 @@ def _run_suite(suite: str, limit: int, table, sink, report_fh, fmt):
         return (f"lucas: {s.records} moduli; max ratio "
                 f"{_fmt_ratio(*s.max_ratio)} at {_fmt_set(s.attained)}")
     if suite == "filters":
-        if report_fh is None:  # summary only: each report is dropped once counted
-            def write(reports):
-                deque(reports, maxlen=0)
-        else:
-            writer = (write_filter_reports_json if fmt == "json"
-                      else write_filter_reports_csv)
-
-            def write(reports):
-                writer(_Counted(reports), report_fh)
-
-        s = filter_agreement_scan(limit, table=table, rows=write)
+        s = filter_agreement_scan(limit, table=table,
+                                  rows=rows or (lambda reports: deque(reports, maxlen=0)))
         line = f"filters: {s.agreements}/{s.total} agree with h(p)"
         if s.disagreements:
             primes = [r.prime for r in s.disagreements]
@@ -213,15 +204,20 @@ def cmd_scan(args) -> int:
     table = period_table(args.limit)
     for suite in suites:
         with contextlib.ExitStack() as stack:  # closes the sink, then the file
-            fh = sink = None
+            rows = None
             if fmt is not None and suite != "wall":
                 path = (out_dir / f"{suite}.{fmt}") if out_dir else args.out
                 fh = sys.stdout if path is None else stack.enter_context(
                     open(path, "w", encoding="utf-8", newline=""))
-                if suite != "filters":
+                if suite == "filters":
+                    writer = (write_filter_reports_json if fmt == "json"
+                              else write_filter_reports_csv)
+                    rows = lambda reports: writer(_Counted(reports), fh)
+                else:
                     sink = CsvRecordSink(fh) if fmt == "csv" else JsonRecordSink(fh)
                     stack.callback(sink.close)
-            summary = _run_suite(suite, args.limit, table, sink, fh, fmt)
+                    rows = sink.write_rows
+            summary = _run_suite(suite, args.limit, table, rows)
         print(summary, file=summary_fh)
     return 0
 
@@ -289,9 +285,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ClaimViolationError as exc:
         return _fail(args, exc, 3)
-    except PisanoError as exc:
-        return _fail(args, exc, 1)
-    except OSError as exc:
+    except (PisanoError, OSError) as exc:
         return _fail(args, exc, 1)
 
 

@@ -364,8 +364,7 @@ def powmod(a: int, e: int, m: int) -> int:
 
 
 def mod_sqrt(a: int, p: int) -> tuple[int, int] | None:
-    """Square roots of a modulo an odd prime p, by Tonelli-Shanks (one power
-    for p = 3 mod 4).
+    """Square roots of a modulo an odd prime p, by Tonelli-Shanks.
 
     Returns the pair (r, p - r) with r <= p - r when a is a quadratic
     residue, (0, 0) for a = 0, and None for a non-residue.
@@ -378,43 +377,42 @@ def mod_sqrt(a: int, p: int) -> tuple[int, int] | None:
         return (0, 0)
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        # write p-1 = q * 2^s with q odd
-        q = p - 1
-        s = 0
-        while q & 1 == 0:
-            q >>= 1
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            t = t * b % p * b % p
-            c = b * b % p
-            m = i
+    # write p-1 = q * 2^s with q odd
+    q = p - 1
+    s = 0
+    while q & 1 == 0:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        t2 = t
+        i = 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        t = t * b % p * b % p
+        c = b * b % p
+        m = i
     r = min(r, p - r)
     return (r, p - r)
 
 
 def multiplicative_order(g: int, p: int, fact_p_minus_1: Factorization) -> int:
     """Least k >= 1 with g^k = 1 (mod p), via dividing primes out of p - 1."""
-    if not 1 <= g < p or g % p == 0:
+    if not 1 <= g < p:
         raise DomainError(f"residue {g} must satisfy 1 <= g < p = {p}")
     if fact_p_minus_1.value() != p - 1:
         raise DomainError("factorization does not factor p - 1")
+    if pow(g, p - 1, p) != 1:  # then p is not prime, or g shares a factor with p
+        raise DomainError(f"p - 1 is not a multiple of {g}'s order mod {p}: is p prime?")
     k = p - 1
     for q, _ in fact_p_minus_1.factors:
         while k % q == 0 and pow(g, k // q, p) == 1:

@@ -162,6 +162,14 @@ def test_wall_scan_divisor_limit():
         wall_property_scan(100, divisor_limit=200)
 
 
+def test_wall_scan_rejects_a_negative_divisor_limit():
+    with pytest.raises(DomainError, match="divisor_limit -5 must be >= 0"):
+        wall_property_scan(10, -5)
+    # the table's own check comes first
+    with pytest.raises(DomainError, match="table limit -1 must be >= 1"):
+        wall_property_scan(-1, -5)
+
+
 def wall_pairs_by_loop(periods, div_limit):
     """The wall suite's divisibility pass as one Python step per pair:
     (pairs checked, violations as (n, m, h(n), h(m)))."""

@@ -413,6 +413,20 @@ def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
     assert calls == {"period_table": 1, "lucas_period_table": 1}
 
 
+def test_a_summary_only_filter_run_keeps_no_report(capsys, monkeypatch):
+    summaries = []
+
+    def recorded(*args, **kwargs):
+        summaries.append(analysis.filter_agreement_scan(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli, "filter_agreement_scan", recorded)
+    code, out, _ = run(capsys, "scan", "--suite", "filters", "--limit", "300")
+    assert code == 0 and out.startswith("filters: ")
+    assert len(summaries) == 1 and summaries[0].total > 0
+    assert summaries[0].reports is None  # drained as counted, never kept
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pisano", "period", "10"],

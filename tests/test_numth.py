@@ -410,6 +410,16 @@ def test_multiplicative_order_domain():
         multiplicative_order(3, 7, factorize(8))  # wrong group order
 
 
+def test_multiplicative_order_checks_its_start():
+    # 2 has order 6 mod 9, and 3 has none: p - 1 = 8 is no multiple of either
+    for g in (2, 3):
+        with pytest.raises(DomainError, match="not a multiple"):
+            multiplicative_order(g, 9, factorize(8))
+    # 341 = 11 * 31 is a base-2 Fermat pseudoprime: 2^340 = 1, so the start
+    # is a true multiple of the order and dividing down stays exact
+    assert multiplicative_order(2, 341, factorize(340)) == 10
+
+
 def test_factoring_a_semiprime_tests_each_part_for_primality_once(monkeypatch):
     # two 31-bit primes: trial division leaves n whole, and rho splits it
     p, q = 2147483629, 2147483647
