@@ -102,25 +102,6 @@ def _fib_pair_ints(n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
-def _lucas_ladder(j: int, m: int) -> tuple[int, int]:
-    """(L_2j mod m, L_2j+2 mod m) for j >= 0, by two multiplications a bit.
-
-    V_k = L_2k is the Lucas sequence V(3, 1) of phi^2 (phi^2 + psi^2 = 3,
-    phi^2 psi^2 = 1), and the ladder keeps (V_k, V_k+1) with
-    V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - 3 (Joye and Quisquater,
-    "Efficient computation of full Lucas sequences", 1996).
-    """
-    if j <= 0:
-        return 2 % m, 3 % m
-    v, w = 3 % m, 7 % m  # (V_1, V_2): the leading bit of j
-    for bit in bin(j)[3:]:
-        if bit == "1":
-            v, w = (v * w - 3) % m, (w * w - 2) % m
-        else:
-            v, w = (v * v - 2) % m, (v * w - 3) % m
-    return v, w
-
-
 def fib_pair(n: int, m: int) -> ResiduePair:
     """(F_n mod m, F_{n+1} mod m) in O(log n) multiplications; F_0 = 0, F_1 = 1."""
     _check_modulus(m)

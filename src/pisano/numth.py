@@ -2,8 +2,8 @@
 factorization, divisors, modular square roots, multiplicative order.
 
 ``factorize`` divides out the primes below 1024, then splits what is left
-with Brent's rho, which makes one Pollard p - 1 pass once its rounds pass
-256 steps.
+with Brent's rho, which makes one Pollard p - 1 pass, then one Williams
+p + 1 pass, once its rounds pass 256 steps.
 
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so any number of threads may call these concurrently.
@@ -93,17 +93,27 @@ def _sieve_factors(spf, n: int) -> dict[int, int]:
     return out
 
 
+def _lcm_up_to(bound: int) -> int:
+    """lcm(1, ..., bound): the product of the largest power <= bound of each
+    prime <= bound, the primes read off the sieve."""
+    out = 1
+    for p in primes_up_to(bound):
+        pk = p
+        while pk * p <= bound:
+            pk *= p
+        out *= pk
+    return out
+
+
 _TRIAL_PRIMES = tuple(primes_up_to(1024))
 _TRIAL_LIMIT_SQ = 1024 * 1024
 
-# Pollard p - 1.  Stage 1 raises 2 to lcm(1, ..., 1024), the product of the
-# largest power <= 1024 of each trial prime (1,479 bits).  Stage 2 pairs
-# giant steps k * 210, k = 4 .. 120, with the 48 baby steps j < 210 prime to
-# 210, so the differences k * 210 - j cover every prime from 631 to 25,199.
-_P1_EXPONENT = math.lcm(*range(1, 1025))
-_P1_D = 210
-_P1_BABY = tuple(j for j in range(1, _P1_D) if math.gcd(j, _P1_D) == 1)
-_P1_GIANTS = range(4, 121)
+# Pollard p - 1 and Williams p + 1 share their bounds.  Stage 1 raises to
+# lcm(1, ..., 2048) (2,945 bits).  Stage 2 pairs giant steps 210 k,
+# k = 3 .. 120, with the 24 baby steps j < 105 prime to 210, so the sums and
+# differences 210 k +- j cover every prime from 541 to 25,303 = 210 * 120 + 103.
+_P1_EXPONENT = _lcm_up_to(2048)
+_STAGE2_GIANTS = range(3, 121)
 
 
 def is_prime(n: int) -> bool:
@@ -187,25 +197,84 @@ class Factorization:
         return cls(pairs)
 
 
+def _lucas_ladder(j: int, m: int) -> tuple[int, int]:
+    """(L_2j mod m, L_2j+2 mod m) for j >= 0, by two multiplications a bit.
+
+    V_k = L_2k is the Lucas sequence V(3, 1) of phi^2 (phi^2 + psi^2 = 3,
+    phi^2 psi^2 = 1), and the ladder keeps (V_k, V_k+1) with
+    V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - 3 (Joye and Quisquater,
+    "Efficient computation of full Lucas sequences", 1996).
+    """
+    if j <= 0:
+        return 2 % m, 3 % m
+    v, w = 3 % m, 7 % m  # (V_1, V_2): the leading bit of j
+    for bit in bin(j)[3:]:
+        if bit == "1":
+            v, w = (v * w - 3) % m, (w * w - 2) % m
+        else:
+            v, w = (v * v - 2) % m, (v * w - 3) % m
+    return v, w
+
+
+def _stage2(b: int, n: int) -> int:
+    """gcd(n, product of V_210k - V_j) over the stage-2 giants k and babies j,
+    where V is the Lucas sequence V(b, 1) mod n: V_0 = 2, V_1 = b and
+    V_i+1 = b V_i - V_i-1.
+
+    Write b = x + 1/x, with x in Z/n or in its quadratic extension.  Then
+    V_i = x^i + x^-i and V_210k - V_j = x^-210k (x^(210k-j) - 1)(x^(210k+j) - 1),
+    so a prime q of n divides the product when the order of x mod q divides
+    210k - j or 210k + j (Montgomery, "Speeding the Pollard and elliptic
+    curve methods of factorization", 1987).
+    """
+    v2 = (b * b - 2) % n
+    baby = []
+    prev, cur = b, b  # V_-1 = V_1
+    for j in range(1, 105, 2):
+        if math.gcd(j, 210) == 1:
+            baby.append(cur)
+        prev, cur = cur, (v2 * cur - prev) % n
+    step = (cur * cur - 2) % n  # cur = V_105, so step = V_210
+    prev, cur = 2, step
+    for _ in range(_STAGE2_GIANTS[0] - 1):
+        prev, cur = cur, (step * cur - prev) % n
+    acc = 1
+    for _ in _STAGE2_GIANTS:
+        for v in baby:
+            acc = acc * (cur - v) % n
+        prev, cur = cur, (step * cur - prev) % n
+    return math.gcd(acc, n)
+
+
 def _p_minus_1(n: int) -> int:
     """A proper divisor of an odd composite n by Pollard's p - 1, or 0.
 
-    It finds a prime factor p of n when p - 1 is 1024-smooth (stage 1) or
-    is a 1024-smooth number times one prime up to 25,199 (stage 2), unless
-    every prime factor of n is caught at once.  Never returns 1 or n.
+    It finds a prime factor p of n when the order of 2 mod p divides
+    E = lcm(1, ..., 2048) (stage 1), or E times one prime from 541 to
+    25,303 (stage 2), unless every prime factor of n is caught at once.
+    Never returns 1 or n.
     """
     a = pow(2, _P1_EXPONENT, n)
     g = math.gcd(a - 1, n)
     if g == 1:
-        baby = [pow(a, j, n) for j in _P1_BABY]
-        step = pow(a, _P1_D, n)
-        giant = pow(step, _P1_GIANTS[0], n)
-        acc = 1
-        for _ in _P1_GIANTS:
-            for b in baby:
-                acc = acc * (giant - b) % n
-            giant = giant * step % n
-        g = math.gcd(acc, n)
+        g = _stage2((a + pow(a, -1, n)) % n, n)
+    return g if 1 < g < n else 0
+
+
+def _p_plus_1(n: int) -> int:
+    """A proper divisor of an odd composite n by Williams' p + 1, or 0.
+
+    Stage 1 is V_E(3, 1) = L_2E from the Lucas ladder, E = lcm(1, ..., 2048).
+    3 = phi^2 + phi^-2 and x^2 - 3x + 1 has discriminant 5, so the order of
+    phi^2 mod a prime p of n divides p + 1 for p = +-2 (mod 5) and p - 1
+    for p = +-1 (mod 5).  Stage 1 finds p when that order divides E, and
+    stage 2 when it divides E times one prime from 541 to 25,303, unless
+    every prime factor of n is caught at once.  Never returns 1 or n.
+    """
+    v = _lucas_ladder(_P1_EXPONENT, n)[0]
+    g = math.gcd(v - 2, n)
+    if g == 1:
+        g = _stage2(v, n)
     return g if 1 < g < n else 0
 
 
@@ -214,10 +283,11 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
     Rounds up to 256 steps come first: they split most class-bound
     cofactors.  The first round longer than that is preceded by one
-    ``_p_minus_1`` pass, which stands in for about sqrt(p) rho steps when
-    p - 1 is smooth; when it finds nothing, rho goes on as before.
+    ``_p_minus_1`` pass and, when that finds nothing, one ``_p_plus_1``
+    pass; each stands in for about sqrt(p) rho steps when p - 1 or p + 1
+    is smooth.  When neither finds anything, rho goes on as before.
     """
-    p_minus_1_done = False
+    passes_done = False
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -225,9 +295,9 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
-            if r > 256 and not p_minus_1_done:
-                p_minus_1_done = True
-                d = _p_minus_1(n)
+            if r > 256 and not passes_done:
+                passes_done = True
+                d = _p_minus_1(n) or _p_plus_1(n)
                 if d:
                     return d
             x = y
@@ -255,8 +325,8 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs for n >= 1 (none for 1); trial
-    division below 1024, then Brent's rho with one p - 1 pass once its
-    rounds pass 256 steps."""
+    division below 1024, then Brent's rho with one p - 1 pass, then one
+    p + 1 pass, once its rounds pass 256 steps."""
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -287,10 +357,12 @@ def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
 def factorize(n: int, *, seed: int | None = None) -> Factorization:
     """Canonical factorization of n >= 2; callers handle 1 themselves.
 
-    Trial division removes factors below 1024, then Brent's rho, with one
-    Pollard p - 1 pass once its rounds pass 256 steps and a deterministic
-    primality check on every part, splits what remains.  ``seed`` only
-    varies the rho retry stream; the result is the same for every seed.
+    Trial division removes factors below 1024, then Brent's rho, with a
+    deterministic primality check on every part, splits what remains.  Once
+    its rounds pass 256 steps, rho makes one Pollard p - 1 pass and, when
+    that finds nothing, one Williams p + 1 pass, both with stage-1 bound
+    2048 and stage-2 bound 25,303.  ``seed`` only varies the rho retry
+    stream; the result is the same for every seed.
     """
     if n < 2:
         raise DomainError(f"cannot factor {n}: need n >= 2")
@@ -411,6 +483,9 @@ def multiplicative_order(g: int, p: int, fact_p_minus_1: Factorization) -> int:
         raise DomainError(f"residue {g} must satisfy 1 <= g < p = {p}")
     if fact_p_minus_1.value() != p - 1:
         raise DomainError("factorization does not factor p - 1")
+    for q in fact_p_minus_1.primes():
+        if not is_prime(q):
+            raise DomainError(f"factorization of p - 1 lists {q}, which is not prime")
     if pow(g, p - 1, p) != 1:  # then p is not prime, or g shares a factor with p
         raise DomainError(f"p - 1 is not a multiple of {g}'s order mod {p}: is p prime?")
     k = p - 1

@@ -6,7 +6,7 @@ while the pair still returns.  One recipe serves point queries and range
 tables alike: h(p) is divided down from the class bound (2p+2 for
 p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and prime
 powers compose by lcm.  For every prime but 5 the return test at n is
-L_n = 2 (mod p) with n even, from the Lucas ladder ``fibmod._lucas_ladder``,
+L_n = 2 (mod p) with n even, from the Lucas ladder ``numth._lucas_ladder``,
 and for p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because
 h(p) divides 2p+2 but not p+1.  5 and prime powers test each n by fast
 doubling (``_pair_order``).  The ladder only divides down: one fast
@@ -44,13 +44,13 @@ from .fibmod import (  # noqa: F401
     PeriodResult,
     _check_modulus,
     _fib_pair_ints,
-    _lucas_ladder,
     lucas_brute_period,
 )
 from .numth import (  # noqa: F401
     MODULUS_MAX,
     U64_MAX,
     _factor_pairs,
+    _lucas_ladder,
     _sieve_factors,
     _zeroed,
     divisors,

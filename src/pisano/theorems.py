@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
-from .fibmod import Method, PeriodResult, _lucas_ladder, fib_exact
+from .fibmod import Method, PeriodResult, fib_exact
 from .numth import (
     DivisorSet,
     Factorization,
+    _lucas_ladder,
     divisors,
     factorize,
     mod_sqrt,

@@ -8,7 +8,6 @@ from pisano.fibmod import (
     Method,
     PeriodResult,
     ResiduePair,
-    _lucas_ladder,
     brute_period,
     fib_exact,
     fib_pair,
@@ -16,6 +15,7 @@ from pisano.fibmod import (
     lucas_pair,
     oracle_cap,
 )
+from pisano.numth import _lucas_ladder
 
 
 # oracles

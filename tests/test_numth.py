@@ -10,6 +10,7 @@ from pisano.numth import (
     U64_MAX,
     DivisorSet,
     Factorization,
+    _lucas_ladder,
     divisors,
     factorize,
     gcd,
@@ -161,17 +162,48 @@ def test_factorize_domain():
             factorize(bad)
 
 
-# Primes near 2^31 for the p - 1 split, with p - 1 factored:
-SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime
-SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime
+# Primes near 2^31 for the p - 1 and p + 1 splits, with p - 1 or p + 1
+# factored.  Stage 1 raises to E = lcm(1, ..., 2048); stage 2 allows one more
+# prime from 541 to 25,303.  p + 1 sees p + 1 for p = +-2 (mod 5) and p - 1
+# for p = +-1 (mod 5).
+SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime; + 1 = 2^3 * 3 * 3697 * 24203
+SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime; + 1 = 2^2 * 3 * 17 * 19 * 353 * 1571
+# + 1 = 2^31 for 2^31 - 1, but phi^2 has order 2^31 mod it, so p + 1 misses it
 SMOOTH_1 = 2147483647  # 2 * 3^2 * 7 * 11 * 31 * 151 * 331
 SMOOTH_2 = 2147483137  # 2^9 * 3 * 23 * 89 * 683
 STAGE2_1 = 2147483713  # 2^6 * 3 * 11 * 251 * 4051
 STAGE2_2 = 2147483867  # 2 * 11 * 67 * 113 * 12893
+EDGE_631 = 2152458367  # 2 * 3 * 17 * 53 * 631^2; + 1 = 2^7 * 139 * 311 * 389
+EDGE_25303 = 2148528337  # 2^4 * 3 * 29 * 61 * 25303
+PLUS_631 = 2157236297  # + 1 = 2 * 3^2 * 7 * 43 * 631^2
+PLUS_25303 = 2148123487  # + 1 = 2^5 * 7 * 379 * 25303
+BARE_1 = 2147486399  # 2 * 1073743199, = 4 (mod 5)
+BARE_2 = 2147487779  # 2 * 1073743889, = 4 (mod 5)
+
+E = math.lcm(*range(1, 2049))
 
 
-def stage1_gcd(n):
-    return math.gcd(pow(2, math.lcm(*range(1, 1025)), n) - 1, n)
+def p_minus_1_stage1(n):
+    return math.gcd(pow(2, E, n) - 1, n)
+
+
+def p_plus_1_stage1(n):
+    return math.gcd(_lucas_ladder(E, n)[0] - 2, n)
+
+
+def test_stage_1_exponent_is_the_lcm_up_to_2048():
+    assert numth._P1_EXPONENT == E
+
+
+def stage2_calls(monkeypatch):
+    calls, real = [], numth._stage2
+
+    def stage2(b, n):
+        calls.append(n)
+        return real(b, n)
+
+    monkeypatch.setattr(numth, "_stage2", stage2)
+    return calls
 
 
 @pytest.mark.parametrize("p, q, expected", [
@@ -180,14 +212,39 @@ def stage1_gcd(n):
     (SMOOTH_1, SAFE_1, SMOOTH_1),  # stage 1 hit
     (STAGE2_1, SAFE_1, STAGE2_1),  # stage 2 hit, after stage 1 gave 1
     (STAGE2_1, STAGE2_2, 0),  # stage 2 catches both: g = n
+    (EDGE_631, SAFE_1, EDGE_631),  # stage 2 at 631, left over from 631^2 > 2048
+    (EDGE_25303, SAFE_1, EDGE_25303),  # stage 2 at its last prime, 210 * 120 + 103
 ])
-def test_p_minus_1_returns_a_proper_divisor_or_0(p, q, expected):
+def test_p_minus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected):
     for r in (p, q):
         assert trial_is_prime(r)
     n = p * q
+    stage2 = stage2_calls(monkeypatch)
     assert numth._p_minus_1(n) == expected
-    if STAGE2_1 in (p, q):
-        assert stage1_gcd(n) == 1
+    stage1 = p_minus_1_stage1(n)
+    if p in (STAGE2_1, EDGE_631, EDGE_25303):
+        assert stage1 == 1
+    # stage 2 would catch a stage-1 prime too; it runs only when stage 1 gave 1
+    assert stage2 == ([n] if stage1 == 1 else [])
+
+
+@pytest.mark.parametrize("p, q, expected, stage", [
+    (SAFE_1, BARE_1, 0, None),  # neither order divides E times one prime <= 25,303
+    (SAFE_2, SAFE_1, SAFE_2, 1),  # stage 1 hit
+    (PLUS_631, SAFE_1, PLUS_631, 2),  # stage 2 at 631, left over from 631^2
+    (PLUS_25303, SAFE_1, PLUS_25303, 2),  # stage 2 at its last prime
+    (SAFE_2, EDGE_631, 0, 1),  # stage 1 catches both: g = n
+    (PLUS_631, PLUS_25303, 0, 2),  # stage 2 catches both: g = n
+])
+def test_p_plus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected, stage):
+    for r in (p, q):
+        assert trial_is_prime(r)
+    n = p * q
+    stage2 = stage2_calls(monkeypatch)
+    assert numth._p_plus_1(n) == expected
+    stage1 = p_plus_1_stage1(n)
+    assert (stage1 == 1) == (stage != 1)
+    assert stage2 == ([n] if stage1 == 1 else [])
 
 
 def seeded_prime(rng, lo, hi):
@@ -202,37 +259,81 @@ def test_p_minus_1_never_returns_1_or_n():
     rng = random.Random(1501)
     for _ in range(60):
         n = math.prod(seeded_prime(rng, 1025, 2**20) for _ in range(rng.randrange(2, 4)))
-        d = numth._p_minus_1(n)
-        assert d == 0 or (1 < d < n and n % d == 0), (n, d)
+        for split in (numth._p_minus_1, numth._p_plus_1):
+            d = split(n)
+            assert d == 0 or (1 < d < n and n % d == 0), (split, n, d)
 
 
 def test_p_minus_1_runs_once_and_only_after_the_short_rho_rounds(monkeypatch):
     calls = []
-    real = numth._p_minus_1
+    for name in ("_p_minus_1", "_p_plus_1"):
+        def split(n, real=getattr(numth, name), name=name):
+            calls.append((name, n))
+            return real(n)
 
-    def p_minus_1(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(numth, "_p_minus_1", p_minus_1)
+        monkeypatch.setattr(numth, name, split)
     # rho splits factors near 2^12 in far fewer than 256 steps
     assert factorize(4093 * 4099 * 4111).factors == ((4093, 1), (4099, 1), (4111, 1))
     assert calls == []
-    n = SAFE_1 * SAFE_2  # p - 1 finds nothing, so rho goes on
+    n = SMOOTH_1 * SAFE_1  # p - 1 splits it, so p + 1 never runs
+    assert factorize(n).factors == ((SMOOTH_1, 1), (SAFE_1, 1))
+    assert calls == [("_p_minus_1", n)]
+    calls.clear()
+    n = SAFE_1 * SAFE_2  # p - 1 finds nothing, then p + 1 splits off SAFE_2
     assert factorize(n).factors == ((SAFE_1, 1), (SAFE_2, 1))
-    assert calls == [n]
+    assert calls == [("_p_minus_1", n), ("_p_plus_1", n)]
+    calls.clear()
+    n = BARE_1 * BARE_2  # neither pass finds anything, so rho goes on
+    assert factorize(n).factors == ((BARE_1, 1), (BARE_2, 1))
+    assert calls == [("_p_minus_1", n), ("_p_plus_1", n)]
 
 
 def test_p_minus_1_and_rho_alone_factor_alike(monkeypatch):
-    # p - 1 splits 17 of these 41; a patched _p_minus_1 of 0 is rho alone
+    # p - 1 splits 18 of these 41 and p + 1 3 more; both patched to 0
+    # leave rho alone
     rng = random.Random(6211)
     pairs = [sorted(seeded_prime(rng, 2**30, 2**31) for _ in range(2)) for _ in range(40)]
     pairs.append([1000000007, 1000000009])
-    with_p_minus_1 = [factorize(p * q).factors for p, q in pairs]
+    with_passes = [factorize(p * q).factors for p, q in pairs]
     monkeypatch.setattr(numth, "_p_minus_1", lambda n: 0)
+    monkeypatch.setattr(numth, "_p_plus_1", lambda n: 0)
     rho_alone = [factorize(p * q).factors for p, q in pairs]
-    for (p, q), a, b in zip(pairs, with_p_minus_1, rho_alone):
+    for (p, q), a, b in zip(pairs, with_passes, rho_alone):
         assert a == b == ((p, 1), (q, 1)), (p, q)
+
+
+def old_stage2(a, n):
+    """The p - 1 stage 2 that the paired one replaced, as the reference:
+    gcd(n, product of a^(210k) - a^j) over k = 4 .. 120 and the 48 j < 210
+    prime to 210."""
+    baby = [pow(a, j, n) for j in range(1, 210) if math.gcd(j, 210) == 1]
+    step = pow(a, 210, n)
+    giant = pow(step, 4, n)
+    acc = 1
+    for _ in range(4, 121):
+        for b in baby:
+            acc = acc * (giant - b) % n
+        giant = giant * step % n
+    return math.gcd(acc, n)
+
+
+def test_paired_stage_2_splits_whatever_the_48_baby_stage_2_splits():
+    # every prime the old product catches, the paired one catches too:
+    # 210k - j for 105 < j < 210 is 210(k - 1) + (210 - j)
+    rng = random.Random(3307)
+    old_splits = 0
+    for _ in range(150):
+        n = seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31)
+        a = pow(2, E, n)
+        if math.gcd(a - 1, n) != 1:
+            continue
+        old = old_stage2(a, n)
+        new = numth._stage2((a + pow(a, -1, n)) % n, n)
+        assert new % old == 0, (n, old, new)
+        if 1 < old < n:
+            old_splits += 1
+            assert new == old, (n, old, new)
+    assert old_splits >= 20  # 27 of the 127 that stage 1 leaves
 
 
 def test_factorization_str():
@@ -418,6 +519,14 @@ def test_multiplicative_order_checks_its_start():
     # 341 = 11 * 31 is a base-2 Fermat pseudoprime: 2^340 = 1, so the start
     # is a true multiple of the order and dividing down stays exact
     assert multiplicative_order(2, 341, factorize(340)) == 10
+
+
+def test_multiplicative_order_checks_its_primes():
+    # 4 listed as a prime: dividing out 4 skips the prime 2, and the order
+    # of 2 mod 17 would read 16 where it is 8
+    with pytest.raises(DomainError, match="4, which is not prime"):
+        multiplicative_order(2, 17, Factorization(((4, 2),)))
+    assert multiplicative_order(2, 17, factorize(16)) == 8
 
 
 def test_factoring_a_semiprime_tests_each_part_for_primality_once(monkeypatch):

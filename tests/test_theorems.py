@@ -4,8 +4,8 @@ import pytest
 
 from pisano.errors import ClaimViolationError, DomainError, PeriodOverflowError
 from pisano.analysis import filter_agreement_scan
-from pisano.fibmod import Method, _fib_pair_ints, _lucas_ladder, fib_exact, fib_pair
-from pisano.numth import divisors, factorize, is_prime, primes_up_to
+from pisano.fibmod import Method, _fib_pair_ints, fib_exact, fib_pair
+from pisano.numth import _lucas_ladder, divisors, factorize, is_prime, primes_up_to
 from pisano.periods import period_table, prime_period, pisano_period
 from pisano.theorems import (
     FilterReport,
