@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -30,15 +29,10 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**63 - 1
 
 
-# Deterministic Miller-Rabin witness tiers (Jaeschke / Sinclair bounds).  The
-# last set is proven only below psi_12 ~ 3.2e23 (Sorenson and Webster, 2015),
-# a strong pseudoprime to all twelve bases, so is_prime trusts it to U64_MAX.
-_MR_TIERS = (
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (None, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
+# The twelve primes up to 37: is_prime's trial divisors and its one witness
+# set, exact below psi_12 ~ 3.2e23, the least strong pseudoprime to all twelve
+# bases (Sorenson and Webster, 2015), so is_prime trusts it to U64_MAX.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _zeroed(typecode: str, n: int) -> array:
@@ -110,26 +104,25 @@ _TRIAL_LIMIT_SQ = 1024 * 1024
 
 # Pollard p - 1 and Williams p + 1 share their bounds.  Stage 1 raises to
 # lcm(1, ..., 2048) (2,945 bits).  Stage 2 pairs giant steps 210 k,
-# k = 3 .. 120, with the 24 baby steps j < 105 prime to 210, so the sums and
-# differences 210 k +- j cover every prime from 541 to 25,303 = 210 * 120 + 103.
+# k = 11 .. 120, with the 24 baby steps j < 105 prime to 210: 210 k +- j
+# covers every prime from 2,207 to 25,303, and a smaller prime r through a
+# multiple r t prime to 210 in that range, so a lower band would add none.
 _P1_EXPONENT = _lcm_up_to(2048)
-_STAGE2_GIANTS = range(3, 121)
+_STAGE2_GIANTS = range(11, 121)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for all n < 2^64 (no probabilistic error).
 
-    Trial division by tiny primes, then Miller-Rabin with witness sets known
-    to be exact below the tier bounds.  Above U64_MAX a failed witness still
-    proves n composite, but an n that passes every base is a DomainError.
+    Trial division by the twelve primes up to 37, then Miller-Rabin to the
+    same bases.  Above U64_MAX a failed witness still proves n composite,
+    but an n that passes every base is a DomainError.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        return True
 
     # write n-1 = d * 2^s
     d = n - 1
@@ -138,10 +131,7 @@ def is_prime(n: int) -> bool:
         d >>= 1
         s += 1
 
-    for bound, bases in _MR_TIERS:
-        if bound is None or n < bound:
-            break
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -250,9 +240,10 @@ def _p_minus_1(n: int) -> int:
     """A proper divisor of an odd composite n by Pollard's p - 1, or 0.
 
     It finds a prime factor p of n when the order of 2 mod p divides
-    E = lcm(1, ..., 2048) (stage 1), or E times one prime from 541 to
-    25,303 (stage 2), unless every prime factor of n is caught at once.
-    Never returns 1 or n.
+    E = lcm(1, ..., 2048) (stage 1), or E times one prime up to 25,303
+    (stage 2: every prime from 2,207 directly, a smaller one through a
+    multiple prime to 210 in that range), unless every prime factor of n is
+    caught at once.  Never returns 1 or n.
     """
     a = pow(2, _P1_EXPONENT, n)
     g = math.gcd(a - 1, n)
@@ -268,8 +259,8 @@ def _p_plus_1(n: int) -> int:
     3 = phi^2 + phi^-2 and x^2 - 3x + 1 has discriminant 5, so the order of
     phi^2 mod a prime p of n divides p + 1 for p = +-2 (mod 5) and p - 1
     for p = +-1 (mod 5).  Stage 1 finds p when that order divides E, and
-    stage 2 when it divides E times one prime from 541 to 25,303, unless
-    every prime factor of n is caught at once.  Never returns 1 or n.
+    stage 2 when it divides E times one prime up to 25,303 (as in p - 1),
+    unless every prime factor of n is caught at once.  Never returns 1 or n.
     """
     v = _lucas_ladder(_P1_EXPONENT, n)[0]
     g = math.gcd(v - 2, n)
@@ -278,9 +269,10 @@ def _p_plus_1(n: int) -> int:
     return g if 1 < g < n else 0
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
+def _brent_rho(n: int, c: int) -> int:
     """One non-trivial factor of an odd composite n (Brent's cycle variant).
 
+    The walk is y -> y^2 + c from y = c, with c taken into 1 .. n - 1.
     Rounds up to 256 steps come first: they split most class-bound
     cofactors.  The first round longer than that is preceded by one
     ``_p_minus_1`` pass and, when that finds nothing, one ``_p_plus_1``
@@ -289,11 +281,10 @@ def _brent_rho(n: int, rng: random.Random) -> int:
     """
     passes_done = False
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+        c = c % (n - 1) + 1
         m = 128
         g = r = q = 1
-        x = ys = y
+        x = ys = y = c
         while g == 1:
             if r > 256 and not passes_done:
                 passes_done = True
@@ -320,7 +311,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-        # cycle degenerated; retry with fresh parameters
+        # cycle degenerated; retry with the next constant, c + 1
 
 
 def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
@@ -337,19 +328,17 @@ def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             counts[p] = e
+    # Deterministic by default: rho's starting constant is derived from
+    # (n, seed), so failures reproduce without an explicit seed.
+    c = (n * 0x9E3779B97F4A7C15 ^ (seed or 0)) & U64_MAX
     # no part has a prime factor <= min(1024, its square root): below 1024^2 it is prime
-    stack, rng = ([n] if n > 1 else []), None
+    stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
         if v < _TRIAL_LIMIT_SQ or is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
-        if rng is None:
-            # Deterministic by default: the rho retry stream is derived from
-            # (n, seed) so failures reproduce without an explicit seed.
-            material = n * 0x9E3779B97F4A7C15 ^ (0 if seed is None else seed)
-            rng = random.Random(material & U64_MAX)
-        d = _brent_rho(v, rng)
+        d = _brent_rho(v, c)
         stack += (d, v // d)
     return sorted(counts.items())
 
@@ -361,8 +350,8 @@ def factorize(n: int, *, seed: int | None = None) -> Factorization:
     deterministic primality check on every part, splits what remains.  Once
     its rounds pass 256 steps, rho makes one Pollard p - 1 pass and, when
     that finds nothing, one Williams p + 1 pass, both with stage-1 bound
-    2048 and stage-2 bound 25,303.  ``seed`` only varies the rho retry
-    stream; the result is the same for every seed.
+    2048 and stage-2 bound 25,303.  ``seed`` only varies rho's starting
+    constant; the result is the same for every seed.
     """
     if n < 2:
         raise DomainError(f"cannot factor {n}: need n >= 2")

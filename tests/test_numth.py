@@ -79,8 +79,10 @@ def test_is_prime_small_exhaustive():
 
 
 def test_is_prime_carmichael_and_strong_pseudoprimes():
-    # composites that fool weaker tests
-    for n in (561, 1105, 1729, 41041, 512461, 3215031751, 3825123056546413051):
+    # composites that fool weaker tests, with the least strong pseudoprime to
+    # the bases up to 7, 13, 17 and 31
+    for n in (561, 1105, 1729, 41041, 512461, 3215031751, 3474749660383,
+              341550071728321, 3825123056546413051):
         assert not is_prime(n), n
 
 
@@ -118,6 +120,22 @@ def test_is_prime_random_cross_check():
         assert is_prime(n) == trial_is_prime(n), n
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2**20, 3215031751),
+    (3215031751, 3474749660383),
+    (3474749660383, 341550071728321),
+    (341550071728321, 2**64),
+])
+def test_is_prime_matches_sympy_up_to_64_bits(lo, hi):
+    # 200 odd n in each range: below its upper end the bases up to 7, 13 and
+    # 17 alone are exact, and the last needs all twelve
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(lo)
+    for _ in range(200):
+        n = rng.randrange(lo, hi) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_factorize_small_exhaustive():
     for n in range(2, 2000):
         assert factorize(n).factors == trial_factor(n), n
@@ -149,10 +167,39 @@ def test_factorize_semiprime_with_large_factors():
 
 
 def test_factorize_is_seed_independent():
-    n = 600851475143 * 3
-    base = factorize(n)
-    for seed in (0, 1, 7, 123456):
-        assert factorize(n, seed=seed) == base
+    rng = random.Random(4242)
+    ns = [600851475143 * 3, (2**31 - 1) ** 2, 1000000007**2 * 1000000009]
+    ns += [seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31) for _ in range(4)]
+    for n in ns:
+        base = factorize(n)
+        assert base.value() == n and all(is_prime(p) for p in base.primes()), n
+        for seed in (0, 1, -1, 7, 123456, 2**64 + 7):
+            assert factorize(n, seed=seed) == base, (n, seed)
+
+
+def brent_meets(n, c):
+    """The first gcd(x - y, n) > 1 of Brent's cycle search on y -> y^2 + c
+    from y = c, one comparison at a time, as rho's backtracking finds it."""
+    y, r = c, 1
+    while True:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        for _ in range(r):
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            if g > 1:
+                return g
+        r *= 2
+
+
+def test_rho_moves_to_the_next_constant_when_its_cycle_degenerates():
+    # 1031 * 1049: from c = 1 % (n - 1) + 1 = 2 both primes meet at the same
+    # step, so g = n; the next constant, 3, splits off 1031
+    n = 1031 * 1049
+    assert brent_meets(n, 2) == n
+    assert brent_meets(n, 3) == 1031
+    assert numth._brent_rho(n, 1) == 1031
 
 
 def test_factorize_domain():
@@ -164,8 +211,9 @@ def test_factorize_domain():
 
 # Primes near 2^31 for the p - 1 and p + 1 splits, with p - 1 or p + 1
 # factored.  Stage 1 raises to E = lcm(1, ..., 2048); stage 2 allows one more
-# prime from 541 to 25,303.  p + 1 sees p + 1 for p = +-2 (mod 5) and p - 1
-# for p = +-1 (mod 5).
+# prime up to 25,303: 210 k +- j reaches every prime from 2,207 = 210 * 11 - 103,
+# and a smaller one through a multiple prime to 210.  p + 1 sees p + 1 for
+# p = +-2 (mod 5) and p - 1 for p = +-1 (mod 5).
 SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime; + 1 = 2^3 * 3 * 3697 * 24203
 SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime; + 1 = 2^2 * 3 * 17 * 19 * 353 * 1571
 # + 1 = 2^31 for 2^31 - 1, but phi^2 has order 2^31 mod it, so p + 1 misses it
@@ -174,8 +222,10 @@ SMOOTH_2 = 2147483137  # 2^9 * 3 * 23 * 89 * 683
 STAGE2_1 = 2147483713  # 2^6 * 3 * 11 * 251 * 4051
 STAGE2_2 = 2147483867  # 2 * 11 * 67 * 113 * 12893
 EDGE_631 = 2152458367  # 2 * 3 * 17 * 53 * 631^2; + 1 = 2^7 * 139 * 311 * 389
+EDGE_2309 = 2147485451  # 2 * 5^2 * 11 * 19 * 89 * 2309
 EDGE_25303 = 2148528337  # 2^4 * 3 * 29 * 61 * 25303
 PLUS_631 = 2157236297  # + 1 = 2 * 3^2 * 7 * 43 * 631^2
+PLUS_2309 = 2147836417  # + 1 = 2 * 7 * 13 * 19 * 269 * 2309
 PLUS_25303 = 2148123487  # + 1 = 2^5 * 7 * 379 * 25303
 BARE_1 = 2147486399  # 2 * 1073743199, = 4 (mod 5)
 BARE_2 = 2147487779  # 2 * 1073743889, = 4 (mod 5)
@@ -212,7 +262,9 @@ def stage2_calls(monkeypatch):
     (SMOOTH_1, SAFE_1, SMOOTH_1),  # stage 1 hit
     (STAGE2_1, SAFE_1, STAGE2_1),  # stage 2 hit, after stage 1 gave 1
     (STAGE2_1, STAGE2_2, 0),  # stage 2 catches both: g = n
-    (EDGE_631, SAFE_1, EDGE_631),  # stage 2 at 631, left over from 631^2 > 2048
+    # stage 2 through 11 * 631 = 6,941, 631 left over from 631^2 > 2048
+    (EDGE_631, SAFE_1, EDGE_631),
+    (EDGE_2309, SAFE_1, EDGE_2309),  # stage 2 at its first band, 210 * 11 - 1
     (EDGE_25303, SAFE_1, EDGE_25303),  # stage 2 at its last prime, 210 * 120 + 103
 ])
 def test_p_minus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected):
@@ -222,7 +274,7 @@ def test_p_minus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected):
     stage2 = stage2_calls(monkeypatch)
     assert numth._p_minus_1(n) == expected
     stage1 = p_minus_1_stage1(n)
-    if p in (STAGE2_1, EDGE_631, EDGE_25303):
+    if p in (STAGE2_1, EDGE_631, EDGE_2309, EDGE_25303):
         assert stage1 == 1
     # stage 2 would catch a stage-1 prime too; it runs only when stage 1 gave 1
     assert stage2 == ([n] if stage1 == 1 else [])
@@ -231,7 +283,8 @@ def test_p_minus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected):
 @pytest.mark.parametrize("p, q, expected, stage", [
     (SAFE_1, BARE_1, 0, None),  # neither order divides E times one prime <= 25,303
     (SAFE_2, SAFE_1, SAFE_2, 1),  # stage 1 hit
-    (PLUS_631, SAFE_1, PLUS_631, 2),  # stage 2 at 631, left over from 631^2
+    (PLUS_631, SAFE_1, PLUS_631, 2),  # stage 2 through 11 * 631, left over from 631^2
+    (PLUS_2309, SAFE_1, PLUS_2309, 2),  # stage 2 at its first band
     (PLUS_25303, SAFE_1, PLUS_25303, 2),  # stage 2 at its last prime
     (SAFE_2, EDGE_631, 0, 1),  # stage 1 catches both: g = n
     (PLUS_631, PLUS_25303, 0, 2),  # stage 2 catches both: g = n
@@ -319,7 +372,8 @@ def old_stage2(a, n):
 
 def test_paired_stage_2_splits_whatever_the_48_baby_stage_2_splits():
     # every prime the old product catches, the paired one catches too:
-    # 210k - j for 105 < j < 210 is 210(k - 1) + (210 - j)
+    # 210k - j for 105 < j < 210 is 210(k - 1) + (210 - j), and a term
+    # below 2,207 (k < 11) through its multiple by 11, a later term
     rng = random.Random(3307)
     old_splits = 0
     for _ in range(150):
