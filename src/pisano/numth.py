@@ -2,8 +2,9 @@
 factorization, divisors, modular square roots, multiplicative order.
 
 ``factorize`` divides out the primes below 1024, then splits what is left
-with Brent's rho, which makes one Pollard p - 1 pass, then one Williams
-p + 1 pass, once its rounds pass 256 steps.
+with Brent's rho.  Where its rounds would pass 256 steps, one Pollard p - 1
+pass and, when that finds nothing, Lenstra's elliptic curve method (ECM)
+split the part instead.
 
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so any number of threads may call these concurrently.
@@ -18,7 +19,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
 
 from .errors import DomainError, PeriodOverflowError
 
@@ -102,12 +103,14 @@ def _lcm_up_to(bound: int) -> int:
 _TRIAL_PRIMES = tuple(primes_up_to(1024))
 _TRIAL_LIMIT_SQ = 1024 * 1024
 
-# Pollard p - 1 and Williams p + 1 share their bounds.  Stage 1 raises to
-# lcm(1, ..., 2048) (2,945 bits).  Stage 2 pairs giant steps 210 k,
-# k = 11 .. 120, with the 24 baby steps j < 105 prime to 210: 210 k +- j
-# covers every prime from 2,207 to 25,303, and a smaller prime r through a
-# multiple r t prime to 210 in that range, so a lower band would add none.
+# Pollard p - 1 raises to lcm(1, ..., 2048) (2,945 bits) in stage 1, and
+# the elliptic curve method to lcm(1, ..., 256) (363 bits).  Both share stage
+# 2: it pairs giant steps 210 k, k = 11 .. 120, with the 24 baby steps
+# j < 105 prime to 210: 210 k +- j covers every prime from 2,207 to 25,303,
+# and a smaller prime r through a multiple r t prime to 210 in that range,
+# so a lower band would add none.
 _P1_EXPONENT = _lcm_up_to(2048)
+_ECM_EXPONENT = _lcm_up_to(256)
 _STAGE2_GIANTS = range(11, 121)
 
 
@@ -206,33 +209,35 @@ def _lucas_ladder(j: int, m: int) -> tuple[int, int]:
     return v, w
 
 
-def _stage2(b: int, n: int) -> int:
-    """gcd(n, product of V_210k - V_j) over the stage-2 giants k and babies j,
-    where V is the Lucas sequence V(b, 1) mod n: V_0 = 2, V_1 = b and
-    V_i+1 = b V_i - V_i-1.
+def _stage2_multiples(p, add, dbl):
+    """(babies, giants): j p for the 24 j < 105 prime to 210, and 210 k p
+    for k in ``_STAGE2_GIANTS``, by differential chains: add(a, b, d) is
+    a + b given d = a - b, and dbl(a) is 2 a."""
+    two = dbl(p)
+    odd = [p, add(two, p, p)]  # odd[i] = (2 i + 1) p, up to 105 p
+    while len(odd) < 53:
+        odd.append(add(odd[-1], two, odd[-2]))
+    step = dbl(odd[-1])  # 210 p
+    giants = [step, dbl(step)]  # 210 k p from k = 1
+    while len(giants) < _STAGE2_GIANTS[-1]:
+        giants.append(add(giants[-1], step, giants[-2]))
+    babies = [odd[j // 2] for j in range(1, 105, 2) if math.gcd(j, 210) == 1]
+    return babies, giants[_STAGE2_GIANTS[0] - 1:]
 
-    Write b = x + 1/x, with x in Z/n or in its quadratic extension.  Then
-    V_i = x^i + x^-i and V_210k - V_j = x^-210k (x^(210k-j) - 1)(x^(210k+j) - 1),
-    so a prime q of n divides the product when the order of x mod q divides
-    210k - j or 210k + j (Montgomery, "Speeding the Pollard and elliptic
-    curve methods of factorization", 1987).
+
+def _stage2(babies, giants, n: int) -> int:
+    """gcd(n, product of g - b over the giants g and the babies b).
+
+    Each value is x(i Q) for the stage-1 result Q, with x(-Q) = x(Q): the
+    Lucas value a^i + a^-i for p - 1, a point's x-coordinate for ECM.  A
+    prime q of n divides x(210 k Q) - x(j Q) when 210 k Q = +-j Q mod q, that
+    is when the order of Q mod q divides 210 k - j or 210 k + j (Montgomery,
+    "Speeding the Pollard and elliptic curve methods of factorization", 1987).
     """
-    v2 = (b * b - 2) % n
-    baby = []
-    prev, cur = b, b  # V_-1 = V_1
-    for j in range(1, 105, 2):
-        if math.gcd(j, 210) == 1:
-            baby.append(cur)
-        prev, cur = cur, (v2 * cur - prev) % n
-    step = (cur * cur - 2) % n  # cur = V_105, so step = V_210
-    prev, cur = 2, step
-    for _ in range(_STAGE2_GIANTS[0] - 1):
-        prev, cur = cur, (step * cur - prev) % n
     acc = 1
-    for _ in _STAGE2_GIANTS:
-        for v in baby:
-            acc = acc * (cur - v) % n
-        prev, cur = cur, (step * cur - prev) % n
+    for g in giants:
+        for b in babies:
+            acc = acc * (g - b) % n
     return math.gcd(acc, n)
 
 
@@ -248,49 +253,121 @@ def _p_minus_1(n: int) -> int:
     a = pow(2, _P1_EXPONENT, n)
     g = math.gcd(a - 1, n)
     if g == 1:
-        g = _stage2((a + pow(a, -1, n)) % n, n)
+        # V_i = a^i + a^-i: V_i+j = V_i V_j - V_i-j and V_2i = V_i^2 - 2
+        babies, giants = _stage2_multiples(
+            (a + pow(a, -1, n)) % n, lambda s, t, d: (s * t - d) % n, lambda s: (s * s - 2) % n)
+        g = _stage2(babies, giants, n)
     return g if 1 < g < n else 0
 
 
-def _p_plus_1(n: int) -> int:
-    """A proper divisor of an odd composite n by Williams' p + 1, or 0.
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2 P for P = (x : z) on the Montgomery curve B y^2 = x^3 + A x^2 + x
+    mod n, with a24 = (A + 2) / 4 (Montgomery 1987)."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d  # 4 x z
+    return s * d % n, t * (d + a24 * t) % n
 
-    Stage 1 is V_E(3, 1) = L_2E from the Lucas ladder, E = lcm(1, ..., 2048).
-    3 = phi^2 + phi^-2 and x^2 - 3x + 1 has discriminant 5, so the order of
-    phi^2 mod a prime p of n divides p + 1 for p = +-2 (mod 5) and p - 1
-    for p = +-1 (mod 5).  Stage 1 finds p when that order divides E, and
-    stage 2 when it divides E times one prime up to 25,303 (as in p - 1),
-    unless every prime factor of n is caught at once.  Never returns 1 or n.
+
+def _xadd(xa: int, za: int, xb: int, zb: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q for P = (xa : za) and Q = (xb : zb), given D = P - Q = (xd : zd),
+    on any Montgomery curve mod n."""
+    u = (xa - za) * (xb + zb) % n
+    v = (xa + za) * (xb - zb) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """k P for k >= 1 and P = (x : z), by Montgomery's ladder: it keeps
+    (k' P, (k' + 1) P) for the leading bits k' of k, whose difference is P."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+        else:
+            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
+            x0, z0 = _xdbl(x0, z0, a24, n)
+    return x0, z0
+
+
+def _ecm_stage2(x: int, z: int, a24: int, n: int) -> int:
+    """ECM's stage 2 from Q = (x : z): ``_stage2`` on the x = X / Z of Q's
+    stage-2 multiples, or, when the product of their Zs is not prime to n,
+    its gcd with n (Z = 0 mod q: the order of Q mod q divides that
+    multiple)."""
+    babies, giants = _stage2_multiples(
+        (x, z), lambda p, q, d: _xadd(*p, *q, *d, n), lambda p: _xdbl(*p, a24, n))
+    points = babies + giants
+    prefix = [1]  # prefix[i] = product of the first i Zs
+    for _, zi in points:
+        prefix.append(prefix[-1] * zi % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return g
+    # one inversion for all (Montgomery's trick): inv = 1 / prefix[i + 1]
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xi, zi = points[i]
+        xs[i] = xi * prefix[i] % n * inv % n
+        inv = inv * zi % n
+    return _stage2(xs[: len(babies)], xs[len(babies):], n)
+
+
+def _suyama(sigma: int, n: int) -> tuple[int, int, int]:
+    """Suyama's curve sigma mod n, for n prime to 2 sigma (sigma^2 - 5): the
+    start (x : z) = (u^3 : v^3), u = sigma^2 - 5 and v = 4 sigma, and
+    a24 = (A + 2) / 4 = (v - u)^3 (3 u + v) / (16 u^3 v) of its curve
+    B y^2 = x^3 + A x^2 + x, whose group order mod a prime where it is
+    nonsingular is a multiple of 12 (Montgomery 1987)."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x = pow(u, 3, n)
+    return x, pow(v, 3, n), pow(v - u, 3, n) * (3 * u + v) * pow(16 * x * v, -1, n) % n
+
+
+def _ecm(n: int) -> int:
+    """A proper divisor of a composite n prime to 6 by Lenstra's elliptic
+    curve method ("Factoring integers with elliptic curves", Annals of Math.
+    1987); never 1 or n.
+
+    Curve sigma = 6, 7, ... (``_suyama``) finds a prime q of n when its
+    start's order mod q divides E = lcm(1, ..., 256) (stage 1), or E times
+    one prime up to 25,303 (stage 2, as in p - 1).  One that catches no
+    prime of n, or every prime at once, gives way to the next.
     """
-    v = _lucas_ladder(_P1_EXPONENT, n)[0]
-    g = math.gcd(v - 2, n)
-    if g == 1:
-        g = _stage2(v, n)
-    return g if 1 < g < n else 0
+    for sigma in count(6):
+        # 16 u^3 v is prime to the odd n exactly when sigma (sigma^2 - 5) is
+        g = math.gcd(sigma * (sigma * sigma - 5), n)
+        if g == 1:
+            x, z, a24 = _suyama(sigma, n)
+            x, z = _ladder(_ECM_EXPONENT, x, z, a24, n)
+            g = math.gcd(z, n)
+            if g == 1:
+                g = _ecm_stage2(x, z, a24, n)
+        if 1 < g < n:
+            return g
 
 
 def _brent_rho(n: int, c: int) -> int:
     """One non-trivial factor of an odd composite n (Brent's cycle variant).
 
     The walk is y -> y^2 + c from y = c, with c taken into 1 .. n - 1.
-    Rounds up to 256 steps come first: they split most class-bound
-    cofactors.  The first round longer than that is preceded by one
-    ``_p_minus_1`` pass and, when that finds nothing, one ``_p_plus_1``
-    pass; each stands in for about sqrt(p) rho steps when p - 1 or p + 1
-    is smooth.  When neither finds anything, rho goes on as before.
+    Its rounds run up to 256 steps: they split most class-bound cofactors.
+    Where a longer round would start, one ``_p_minus_1`` pass and, when that
+    finds nothing, ``_ecm`` give the factor instead: a rho walk to a 31-bit
+    factor takes about sqrt(p) steps, three times what ECM takes.
     """
-    passes_done = False
     while True:
         c = c % (n - 1) + 1
         m = 128
         g = r = q = 1
         x = ys = y = c
         while g == 1:
-            if r > 256 and not passes_done:
-                passes_done = True
-                d = _p_minus_1(n) or _p_plus_1(n)
-                if d:
-                    return d
+            if r > 256:
+                return _p_minus_1(n) or _ecm(n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -316,8 +393,8 @@ def _brent_rho(n: int, c: int) -> int:
 
 def _factor_pairs(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs for n >= 1 (none for 1); trial
-    division below 1024, then Brent's rho with one p - 1 pass, then one
-    p + 1 pass, once its rounds pass 256 steps."""
+    division below 1024, then Brent's rho rounds up to 256 steps, then one
+    p - 1 pass and, when that finds nothing, ECM."""
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -347,11 +424,12 @@ def factorize(n: int, *, seed: int | None = None) -> Factorization:
     """Canonical factorization of n >= 2; callers handle 1 themselves.
 
     Trial division removes factors below 1024, then Brent's rho, with a
-    deterministic primality check on every part, splits what remains.  Once
-    its rounds pass 256 steps, rho makes one Pollard p - 1 pass and, when
-    that finds nothing, one Williams p + 1 pass, both with stage-1 bound
-    2048 and stage-2 bound 25,303.  ``seed`` only varies rho's starting
-    constant; the result is the same for every seed.
+    deterministic primality check on every part, splits what remains.  Where
+    its rounds would pass 256 steps, one Pollard p - 1 pass (stage-1 bound
+    2048) and, when that finds nothing, the elliptic curve method (stage-1
+    bound 256, one curve after another) split the part instead; both have
+    stage-2 bound 25,303.  ``seed`` only varies rho's starting constant; the
+    result is the same for every seed.
     """
     if n < 2:
         raise DomainError(f"cannot factor {n}: need n >= 2")

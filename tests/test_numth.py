@@ -10,7 +10,6 @@ from pisano.numth import (
     U64_MAX,
     DivisorSet,
     Factorization,
-    _lucas_ladder,
     divisors,
     factorize,
     gcd,
@@ -168,7 +167,9 @@ def test_factorize_semiprime_with_large_factors():
 
 def test_factorize_is_seed_independent():
     rng = random.Random(4242)
-    ns = [600851475143 * 3, (2**31 - 1) ** 2, 1000000007**2 * 1000000009]
+    # BARE_1^2 and SAFE_1 * SAFE_2 * BARE_1 reach ECM: p - 1 misses them
+    ns = [600851475143 * 3, (2**31 - 1) ** 2, 1000000007**2 * 1000000009,
+          BARE_1**2, SAFE_1 * SAFE_2 * BARE_1]
     ns += [seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31) for _ in range(4)]
     for n in ns:
         base = factorize(n)
@@ -209,36 +210,27 @@ def test_factorize_domain():
             factorize(bad)
 
 
-# Primes near 2^31 for the p - 1 and p + 1 splits, with p - 1 or p + 1
-# factored.  Stage 1 raises to E = lcm(1, ..., 2048); stage 2 allows one more
-# prime up to 25,303: 210 k +- j reaches every prime from 2,207 = 210 * 11 - 103,
-# and a smaller one through a multiple prime to 210.  p + 1 sees p + 1 for
-# p = +-2 (mod 5) and p - 1 for p = +-1 (mod 5).
-SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime; + 1 = 2^3 * 3 * 3697 * 24203
-SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime; + 1 = 2^2 * 3 * 17 * 19 * 353 * 1571
-# + 1 = 2^31 for 2^31 - 1, but phi^2 has order 2^31 mod it, so p + 1 misses it
+# Primes near 2^31 for the p - 1 splits, with p - 1 factored.  Stage 1
+# raises to E = lcm(1, ..., 2048); stage 2 allows one more prime up to
+# 25,303: 210 k +- j reaches every prime from 2,207 = 210 * 11 - 103, and a
+# smaller one through a multiple prime to 210.
+SAFE_1 = 2147483783  # 2 * 1073741891, a safe prime
+SAFE_2 = 2149486187  # 2 * 1074743093, a safe prime
 SMOOTH_1 = 2147483647  # 2 * 3^2 * 7 * 11 * 31 * 151 * 331
 SMOOTH_2 = 2147483137  # 2^9 * 3 * 23 * 89 * 683
 STAGE2_1 = 2147483713  # 2^6 * 3 * 11 * 251 * 4051
 STAGE2_2 = 2147483867  # 2 * 11 * 67 * 113 * 12893
-EDGE_631 = 2152458367  # 2 * 3 * 17 * 53 * 631^2; + 1 = 2^7 * 139 * 311 * 389
+EDGE_631 = 2152458367  # 2 * 3 * 17 * 53 * 631^2
 EDGE_2309 = 2147485451  # 2 * 5^2 * 11 * 19 * 89 * 2309
 EDGE_25303 = 2148528337  # 2^4 * 3 * 29 * 61 * 25303
-PLUS_631 = 2157236297  # + 1 = 2 * 3^2 * 7 * 43 * 631^2
-PLUS_2309 = 2147836417  # + 1 = 2 * 7 * 13 * 19 * 269 * 2309
-PLUS_25303 = 2148123487  # + 1 = 2^5 * 7 * 379 * 25303
-BARE_1 = 2147486399  # 2 * 1073743199, = 4 (mod 5)
-BARE_2 = 2147487779  # 2 * 1073743889, = 4 (mod 5)
+BARE_1 = 2147486399  # 2 * 1073743199
+BARE_2 = 2147487779  # 2 * 1073743889
 
 E = math.lcm(*range(1, 2049))
 
 
 def p_minus_1_stage1(n):
     return math.gcd(pow(2, E, n) - 1, n)
-
-
-def p_plus_1_stage1(n):
-    return math.gcd(_lucas_ladder(E, n)[0] - 2, n)
 
 
 def test_stage_1_exponent_is_the_lcm_up_to_2048():
@@ -248,9 +240,9 @@ def test_stage_1_exponent_is_the_lcm_up_to_2048():
 def stage2_calls(monkeypatch):
     calls, real = [], numth._stage2
 
-    def stage2(b, n):
+    def stage2(babies, giants, n):
         calls.append(n)
-        return real(b, n)
+        return real(babies, giants, n)
 
     monkeypatch.setattr(numth, "_stage2", stage2)
     return calls
@@ -280,26 +272,6 @@ def test_p_minus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected):
     assert stage2 == ([n] if stage1 == 1 else [])
 
 
-@pytest.mark.parametrize("p, q, expected, stage", [
-    (SAFE_1, BARE_1, 0, None),  # neither order divides E times one prime <= 25,303
-    (SAFE_2, SAFE_1, SAFE_2, 1),  # stage 1 hit
-    (PLUS_631, SAFE_1, PLUS_631, 2),  # stage 2 through 11 * 631, left over from 631^2
-    (PLUS_2309, SAFE_1, PLUS_2309, 2),  # stage 2 at its first band
-    (PLUS_25303, SAFE_1, PLUS_25303, 2),  # stage 2 at its last prime
-    (SAFE_2, EDGE_631, 0, 1),  # stage 1 catches both: g = n
-    (PLUS_631, PLUS_25303, 0, 2),  # stage 2 catches both: g = n
-])
-def test_p_plus_1_returns_a_proper_divisor_or_0(monkeypatch, p, q, expected, stage):
-    for r in (p, q):
-        assert trial_is_prime(r)
-    n = p * q
-    stage2 = stage2_calls(monkeypatch)
-    assert numth._p_plus_1(n) == expected
-    stage1 = p_plus_1_stage1(n)
-    assert (stage1 == 1) == (stage != 1)
-    assert stage2 == ([n] if stage1 == 1 else [])
-
-
 def seeded_prime(rng, lo, hi):
     while True:
         p = rng.randrange(lo, hi) | 1
@@ -308,18 +280,20 @@ def seeded_prime(rng, lo, hi):
 
 
 def test_p_minus_1_never_returns_1_or_n():
-    # a split of 1 or n would push the same part back onto the stack forever
+    # a split of 1 or n would push the same part back onto the stack forever;
+    # ECM never gives up, so it never returns 0 either
     rng = random.Random(1501)
     for _ in range(60):
         n = math.prod(seeded_prime(rng, 1025, 2**20) for _ in range(rng.randrange(2, 4)))
-        for split in (numth._p_minus_1, numth._p_plus_1):
-            d = split(n)
-            assert d == 0 or (1 < d < n and n % d == 0), (split, n, d)
+        d = numth._p_minus_1(n)
+        assert d == 0 or (1 < d < n and n % d == 0), (n, d)
+        d = numth._ecm(n)
+        assert 1 < d < n and n % d == 0, (n, d)
 
 
 def test_p_minus_1_runs_once_and_only_after_the_short_rho_rounds(monkeypatch):
     calls = []
-    for name in ("_p_minus_1", "_p_plus_1"):
+    for name in ("_p_minus_1", "_ecm"):
         def split(n, real=getattr(numth, name), name=name):
             calls.append((name, n))
             return real(n)
@@ -328,31 +302,29 @@ def test_p_minus_1_runs_once_and_only_after_the_short_rho_rounds(monkeypatch):
     # rho splits factors near 2^12 in far fewer than 256 steps
     assert factorize(4093 * 4099 * 4111).factors == ((4093, 1), (4099, 1), (4111, 1))
     assert calls == []
-    n = SMOOTH_1 * SAFE_1  # p - 1 splits it, so p + 1 never runs
+    n = SMOOTH_1 * SAFE_1  # p - 1 splits it, so ECM never runs
     assert factorize(n).factors == ((SMOOTH_1, 1), (SAFE_1, 1))
     assert calls == [("_p_minus_1", n)]
     calls.clear()
-    n = SAFE_1 * SAFE_2  # p - 1 finds nothing, then p + 1 splits off SAFE_2
-    assert factorize(n).factors == ((SAFE_1, 1), (SAFE_2, 1))
-    assert calls == [("_p_minus_1", n), ("_p_plus_1", n)]
-    calls.clear()
-    n = BARE_1 * BARE_2  # neither pass finds anything, so rho goes on
+    n = BARE_1 * BARE_2  # p - 1 finds nothing, so ECM runs once and splits it
     assert factorize(n).factors == ((BARE_1, 1), (BARE_2, 1))
-    assert calls == [("_p_minus_1", n), ("_p_plus_1", n)]
+    assert calls == [("_p_minus_1", n), ("_ecm", n)]
 
 
 def test_p_minus_1_and_rho_alone_factor_alike(monkeypatch):
-    # p - 1 splits 18 of these 41 and p + 1 3 more; both patched to 0
-    # leave rho alone
+    # p - 1 splits 18 of these 41; patched to 0, it leaves the short rho
+    # rounds and ECM alone to split them
     rng = random.Random(6211)
     pairs = [sorted(seeded_prime(rng, 2**30, 2**31) for _ in range(2)) for _ in range(40)]
     pairs.append([1000000007, 1000000009])
     with_passes = [factorize(p * q).factors for p, q in pairs]
     monkeypatch.setattr(numth, "_p_minus_1", lambda n: 0)
-    monkeypatch.setattr(numth, "_p_plus_1", lambda n: 0)
     rho_alone = [factorize(p * q).factors for p, q in pairs]
     for (p, q), a, b in zip(pairs, with_passes, rho_alone):
         assert a == b == ((p, 1), (q, 1)), (p, q)
+
+
+BABIES = [j for j in range(1, 105, 2) if math.gcd(j, 210) == 1]
 
 
 def old_stage2(a, n):
@@ -373,7 +345,9 @@ def old_stage2(a, n):
 def test_paired_stage_2_splits_whatever_the_48_baby_stage_2_splits():
     # every prime the old product catches, the paired one catches too:
     # 210k - j for 105 < j < 210 is 210(k - 1) + (210 - j), and a term
-    # below 2,207 (k < 11) through its multiple by 11, a later term
+    # below 2,207 (k < 11) through its multiple by 11, a later term.  The
+    # Lucas values V_i = a^i + a^-i come from pow here, and the chain that
+    # p - 1 uses must give the same ones.
     rng = random.Random(3307)
     old_splits = 0
     for _ in range(150):
@@ -381,13 +355,176 @@ def test_paired_stage_2_splits_whatever_the_48_baby_stage_2_splits():
         a = pow(2, E, n)
         if math.gcd(a - 1, n) != 1:
             continue
+        babies = [(pow(a, j, n) + pow(a, -j, n)) % n for j in BABIES]
+        giants = [(pow(a, 210 * k, n) + pow(a, -210 * k, n)) % n for k in numth._STAGE2_GIANTS]
+        chain = numth._stage2_multiples(
+            (a + pow(a, -1, n)) % n, lambda s, t, d: (s * t - d) % n, lambda s: (s * s - 2) % n)
+        assert chain == (babies, giants), n
         old = old_stage2(a, n)
-        new = numth._stage2((a + pow(a, -1, n)) % n, n)
+        new = numth._stage2(babies, giants, n)
         assert new % old == 0, (n, old, new)
         if 1 < old < n:
             old_splits += 1
             assert new == old, (n, old, new)
     assert old_splits >= 20  # 27 of the 127 that stage 1 leaves
+
+
+# ECM's curves against the textbook group law, with nothing shared with the
+# module's x-only arithmetic: affine points (x, y) on B y^2 = x^3 + A x^2 + x
+# over F_p, and None for the point at infinity
+
+def suyama_curve(sigma, p):
+    """(A, B, start) of Suyama's curve sigma over F_p: u = sigma^2 - 5,
+    v = 4 sigma, A = (v - u)^3 (3u + v) / (4 u^3 v) - 2 and the start's
+    x = u^3 / v^3; B is taken so that the start has y = 1."""
+    u, v = (sigma * sigma - 5) % p, 4 * sigma % p
+    A = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    x = u**3 * pow(v, -3, p) % p
+    return A, (x**3 + A * x * x + x) % p, (x, 1)
+
+
+def affine_add(P, Q, A, B, p):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * A * x1 + 1) * pow(2 * B * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (B * lam * lam - A - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def affine_mul(k, P, A, B, p):
+    out = None
+    while k:
+        if k & 1:
+            out = affine_add(out, P, A, B, p)
+        P = affine_add(P, P, A, B, p)
+        k >>= 1
+    return out
+
+
+def curve_order(A, B, p):
+    """#E(F_p): each x gives 1 + (B f(x) | p) points, and infinity one more."""
+    squares = {y * y % p for y in range(1, p)}
+    order = 1
+    for x in range(p):
+        r = B * (x**3 + A * x * x + x) % p
+        order += 1 if r == 0 else 2 if r in squares else 0
+    return order
+
+
+def projective(P, scale, p):
+    """P as an x-only (X : Z) with Z = scale, or (1 : 0) for infinity."""
+    return (1, 0) if P is None else (P[0] * scale % p, scale)
+
+
+def same_x(xz, P, p):
+    x, z = xz
+    if P is None:
+        return z % p == 0
+    return z % p != 0 and x * pow(z, -1, p) % p == P[0]
+
+
+def test_curve_arithmetic_matches_the_affine_group_law():
+    for p in (10007, 10009, 10037):
+        for sigma in range(6, 21):
+            A, B, start = suyama_curve(sigma, p)
+            assert B * (A * A - 4) % p, (p, sigma)  # not singular
+            x, z, a24 = numth._suyama(sigma, p)
+            assert same_x((x, z), start, p) and a24 == (A + 2) * pow(4, -1, p) % p
+            order = curve_order(A, B, p)
+            assert order % 12 == 0, (p, sigma, order)  # Suyama's torsion
+            assert affine_mul(order, start, A, B, p) is None
+            assert same_x(numth._ladder(order, x, z, a24, p), None, p)
+            kp = [None, start]
+            for _ in range(2, 41):
+                kp.append(affine_add(kp[-1], start, A, B, p))
+            for k in range(1, 21):
+                assert same_x(numth._xdbl(*projective(kp[k], k + 2, p), a24, p), kp[2 * k], p)
+            for a in range(2, 21):
+                for b in range(1, a):
+                    d = kp[a - b]
+                    if d is None or d[0] == 0:  # x-only addition needs x(P - Q) != 0, infinity
+                        continue
+                    s = numth._xadd(*projective(kp[a], a + 3, p), *projective(kp[b], b + 5, p),
+                                    *projective(d, a + b, p), p)
+                    assert same_x(s, kp[a + b], p), (p, sigma, a, b)
+            for k in range(1, 41):
+                assert same_x(numth._ladder(k, x, z, a24, p), kp[k], p), (p, sigma, k)
+
+
+def test_ecm_stage_2_matches_a_ladder_per_multiple():
+    # each baby j Q and giant 210 k Q from its own ladder, not from the chain
+    rng = random.Random(2417)
+    multiples = BABIES + [210 * k for k in numth._STAGE2_GIANTS]
+    splits = 0
+    for _ in range(20):
+        n = seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31)
+        for sigma in (6, 7):
+            x, z, a24 = numth._suyama(sigma, n)
+            x, z = numth._ladder(numth._ECM_EXPONENT, x, z, a24, n)
+            if math.gcd(z, n) != 1:
+                continue
+            points = [numth._ladder(i, x, z, a24, n) for i in multiples]
+            g = math.gcd(math.prod(pz for _, pz in points), n)
+            if g == 1:
+                xs = [px * pow(pz, -1, n) % n for px, pz in points]
+                acc = 1
+                for giant in xs[len(BABIES):]:
+                    for baby in xs[: len(BABIES)]:
+                        acc = acc * (giant - baby) % n
+                g = math.gcd(acc, n)
+            assert numth._ecm_stage2(x, z, a24, n) == g, (n, sigma)
+            splits += 1 < g < n
+    assert splits >= 6  # 8 of the 39 curves that reach stage 2
+
+
+# Primes near 2^31 for ECM's first curve, sigma = 6, by the order of its
+# start mod each; stage 1 multiplies it by E_ECM = lcm(1, ..., 256)
+E_ECM = math.lcm(*range(1, 257))
+ECM_1 = 2147484733  # the order divides E_ECM; p - 1 = 2^2 * 3 * 178957061
+ECM_2 = 2147484041  # it divides 10,979 E_ECM, not E_ECM; p - 1 = 2^3 * 5 * 13 * 4129777
+
+
+def test_ecm_table_primes_by_the_affine_group_law():
+    # curve 6's stage 1 catches ECM_1 and BARE_2 and misses ECM_2, SAFE_1
+    # and BARE_1; a further 10,979 times catches ECM_2
+    for p in (ECM_1, ECM_2, BARE_2, SAFE_1, BARE_1):
+        A, B, start = suyama_curve(6, p)
+        q = affine_mul(E_ECM, start, A, B, p)
+        assert (q is None) == (p in (ECM_1, BARE_2)), p
+        if p == ECM_2:
+            assert affine_mul(10979, q, A, B, p) is None
+
+
+@pytest.mark.parametrize("p, q, expected, stage2_runs", [
+    (ECM_1, SAFE_1, ECM_1, 0),  # curve 6, stage 1
+    (ECM_2, SAFE_1, ECM_2, 1),  # curve 6, stage 2, after stage 1 gave 1
+    (BARE_1, BARE_2, BARE_2, 0),  # curve 6, stage 1
+    # curve 6 misses both and 7 catches both in stage 2 (g = n), 8 misses
+    # both, and 9 catches SAFE_2 in stage 2
+    (SAFE_1, SAFE_2, SAFE_2, 4),
+])
+def test_ecm_returns_the_first_proper_split(monkeypatch, p, q, expected, stage2_runs):
+    for r in (p, q):
+        assert trial_is_prime(r)
+    n = p * q
+    stage2, real = [], numth._ecm_stage2
+
+    def ecm_stage2(x, z, a24, m):
+        stage2.append(m)
+        return real(x, z, a24, m)
+
+    monkeypatch.setattr(numth, "_ecm_stage2", ecm_stage2)
+    assert numth._ecm(n) == expected
+    # stage 2 would catch a stage-1 prime too; it runs only when stage 1 gave 1
+    assert stage2 == [n] * stage2_runs
 
 
 def test_factorization_str():
