@@ -18,12 +18,12 @@ is picked from h(p) by divisibility and confirmed by one Lucas ladder
 
 No scan factors m: all five read h(m) from one sieve-built
 ``periods.period_table(limit)``, in which each h(p) and each lift is
-computed once and verified, and the filter scan reads each class bound's
-factorization off the same sieve.  Each scan takes that table as
-``table=`` (``pisano scan --suite all`` builds one and hands it to every
-suite) or builds its own.  The wall scan tests each n's multiples as one
-slice of the table.
-A limit below 1 or too large for the tables is a DomainError up front.
+computed once and verified.  The Lucas scan recomputes only the multiples
+of 5, and the filter scan reads each class bound's factorization off the
+same sieve.  Each scan takes that table as ``table=`` (``pisano scan
+--suite all`` builds one and hands it to every suite) or builds its own.
+The wall scan tests each n's multiples as one slice of the table.  A
+limit below 1 or too large for the tables is a DomainError up front.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .periods import (
     TABLE_METHODS,
     PeriodTable,
     _class_bound,
-    lucas_period_table,
+    _lucas_five_power,
     period_table,
 )
 from .theorems import FilterReport, _filter_report
@@ -329,20 +330,31 @@ def _irreducible_rows(limit: int, table: PeriodTable, wanted: bool):
 
 def lucas_ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
                      rows=None) -> LucasScanSummary:
-    """Maximum Lucas-period ratio over m <= limit; for limit >= 6 asserts the
-    maximum is exactly 4, attained only at m = 6.  ``emit`` and ``rows`` are
-    as in ratio_scan."""
-    periods = lucas_period_table(_table_for(limit, table))
-    return _drive(emit, rows, _lucas_rows, limit, periods)
+    """Maximum Lucas-period ratio over m <= limit, with h_L(m) read off
+    ``table`` (built here when not given); for limit >= 6 asserts the
+    maximum is exactly 4, attained only at m = 6.  ``emit`` and ``rows``
+    are as in ratio_scan."""
+    return _drive(emit, rows, _lucas_rows, limit, _table_for(limit, table).period)
 
 
 def _lucas_rows(limit: int, periods, wanted: bool):
-    # the Lucas CSV keeps the method lucas_period reports
+    # h_L(m) = h(m) when 5 does not divide m, and lcm(h_L(5^a), h(k)) for
+    # m = 5^a k with 5 not dividing k; lucas_five[a - 1] holds h_L(5^a).
+    # Rows keep the method lucas_period reports.
+    lucas_five: list[int] = []
     method = Method.PRIME_DIVISOR_SEARCH.value
     best_num, best_den = 0, 1
     attained: list[int] = []
     for m in range(1, limit + 1):
-        period = periods[m]
+        if m % 5:
+            period = periods[m]
+        else:
+            k, a = m // 5, 1
+            while k % 5 == 0:
+                k, a = k // 5, a + 1
+            if a > len(lucas_five):
+                lucas_five.append(_lucas_five_power(a))
+            period = math.lcm(lucas_five[a - 1], periods[k])
         cross_new, cross_best = period * best_den, best_num * m
         new_maximum = cross_new > cross_best
         if new_maximum:

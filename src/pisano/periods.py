@@ -18,15 +18,14 @@ have determinant 5, so for p != 5 they span (Z/p^e)^2: T^n fixes (2, 1)
 exactly when T^n = I.  T^n = I exactly when T^n fixes (0, 1), because then
 F_(n-1) = F_(n+1) - F_n = 1.  Hence h_L(p^e) = h(p^e) for every p != 5,
 2 and prime powers included, and the verified (0, 1) return is the (2, 1)
-return too.  h_L(5^e) = 4 * 5^(e-1) (Vinson, Fibonacci Quarterly 1963) is
-checked as a return time of (2, 1) and proved least by ``_pair_order``.
+return too.  Only h_L(5^e) is found apart, by ``_lucas_five_power``.
 
 Point queries factor m and compute each prime power afresh, so they keep
 no state between calls.  Range scans use ``period_table(limit)`` instead:
 one smallest-prime-factor sieve supplies every class bound's primes and
-every m's prime powers, in one ascending pass; ``lucas_period_table``
-copies the periods and redoes only the multiples of 5.  Every h(p), lift
-and h_L(5^e) is verified by the pair returning.
+every m's prime powers, in one ascending pass, and the Lucas scan reads
+h_L(m) off the same table.  Every h(p), lift and h_L(5^e) is verified by
+the pair returning.
 """
 
 from __future__ import annotations
@@ -179,6 +178,12 @@ def _prime_order(p: int, bound: int, primes) -> int:
     return n
 
 
+def _lucas_five_power(e: int) -> int:
+    """h_L(5^e) = 4 * 5^(e-1) (Vinson, Fibonacci Quarterly 1963), checked
+    as a return time of (2, 1) mod 5^e and proved least."""
+    return _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5))
+
+
 def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
     """(h(p^e), lift escalations) for pe = p^e, e >= 2, from h(p) = ``period``:
     the order of (0, 1) mod p^e, divided down by p from p^(e-1) h(p);
@@ -218,14 +223,13 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
 def _period(m: int, pairs, lucas: bool = False) -> PeriodResult:
     """h(m), or h_L(m) with ``lucas``, from the (prime, exponent) pairs of
     m: each h(p) divided down from its class bound, lifted to h(p^e) for
-    e > 1, and composed by lcm; m = 1 has no pairs.  The Lucas pair returns
-    mod m exactly when it returns mod every p^e || m, at h(p^e) for p != 5
-    and at 4 * 5^(e-1) for p = 5."""
+    e > 1, and composed by lcm; m = 1 has no pairs.  With ``lucas``, 5^e
+    gives h_L(5^e) and every other p^e its h(p^e)."""
     period = 1
     escalations = 0
     for p, e in pairs:
         if lucas and p == 5:
-            value = _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5))
+            value = _lucas_five_power(e)
         else:
             # factorize is looked up here at call time, where bench/tracer.py counts it
             value = _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n))))
@@ -249,11 +253,8 @@ def pisano_period(m: int) -> PeriodResult:
 
 
 def lucas_period(m: int) -> PeriodResult:
-    """Least d with (L_d, L_{d+1}) = (2, 1) mod m.
-
-    h_L(p^e) = h(p^e) for every p^e || m with p != 5, and
-    h_L(5^e) = 4 * 5^(e-1); h_L(m) is the lcm of those orders.
-    """
+    """Least d with (L_d, L_{d+1}) = (2, 1) mod m: the lcm of h_L(p^e)
+    over p^e || m."""
     _check_modulus(m)
     return _period(m, _factor_pairs(m), lucas=True)
 
@@ -313,20 +314,3 @@ def period_table(limit: int) -> PeriodTable:
         method[m] = 2  # PRIME_POWER_LIFT
     return PeriodTable(spf, period, escalations, method)
 
-
-def lucas_period_table(table: PeriodTable) -> array:
-    """h_L(m) for every m of ``table``: h(m) unless 5 divides m, and
-    lcm(h_L(5^a), h(k)) for m = 5^a k with 5 not dividing k, as on the
-    point path."""
-    period = table.period
-    lucas = _zeroed("Q", len(period))
-    lucas[:] = period
-    for m in range(5, len(period), 5):
-        rest = m // 5
-        while rest % 5 == 0:
-            rest //= 5
-        if rest > 1:
-            lucas[m] = math.lcm(lucas[m // rest], period[rest])
-        else:
-            lucas[m] = _pair_order((2, 1), m, 4 * m // 5, (2, 5))
-    return lucas

@@ -26,7 +26,7 @@ from pisano.analysis import (
 from pisano.errors import ClaimViolationError, DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period, lucas_pair
 from pisano.numth import U64_MAX, divisors, factorize
-from pisano.periods import TABLE_METHODS, lucas_period_table, period_table
+from pisano.periods import TABLE_METHODS, lucas_period, period_table
 from pisano.theorems import FilterReport
 
 
@@ -549,19 +549,20 @@ RECORD_SCANS = [ratio_scan, irreducible_product_scan, lucas_ratio_scan]
 
 def expected_records(scan, limit):
     """The ScanRecords each record scan emitted before it streamed rows:
-    the table's period and method, period_flags for the ratio scan, and
-    NewMaximum wherever the exact ratio beats every earlier one."""
+    the table's period and method (lucas_period's for the Lucas scan),
+    period_flags for the ratio scan, and NewMaximum wherever the exact
+    ratio beats every earlier one."""
     table = period_table(limit)
-    periods = lucas_period_table(table) if scan is lucas_ratio_scan else table.period
     best, out = Fraction(0), []
     for m in range(1, limit + 1):
         if scan is irreducible_product_scan and not all(
                 p != 2 and p % 5 in (2, 3) for p in prime_factors(m)):
             continue
-        period = periods[m]
         if scan is lucas_ratio_scan:
+            period = lucas_period(m).period
             method, flags = Method.PRIME_DIVISOR_SEARCH, set()
         else:
+            period = table.period[m]
             method = TABLE_METHODS[table.method[m]]
             flags = (period_flags(m, period, table.escalations[m])
                      if scan is ratio_scan else set())

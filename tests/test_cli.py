@@ -393,7 +393,7 @@ def test_a_filter_violation_leaves_the_earlier_rows_in_the_report(fmt, capsys,
 
 
 def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
-    calls = {"period_table": 0, "lucas_period_table": 0}
+    calls = {"period_table": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -401,7 +401,7 @@ def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # patch every module that binds either name, so no builder is missed
+    # patch every module that binds the name, so no builder is missed
     for name in calls:
         wrapped = counted(name, getattr(periods, name))
         for module in (periods, analysis, cli):
@@ -410,7 +410,7 @@ def test_scan_all_builds_each_table_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "scan", "--suite", "all", "--limit", "500",
                      "--out", str(tmp_path))
     assert code == 0
-    assert calls == {"period_table": 1, "lucas_period_table": 1}
+    assert calls == {"period_table": 1}
 
 
 def test_a_summary_only_filter_run_keeps_no_report(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pisano import periods
+from pisano import analysis, periods
 from pisano.analysis import (
     Flag,
     filter_agreement_scan,
@@ -26,7 +26,6 @@ from pisano.periods import (
     _class_bound,
     _pair_order,
     lucas_period,
-    lucas_period_table,
     period_table,
     pisano_period,
     prime_period,
@@ -47,10 +46,18 @@ def new_maxima(records):
     return out
 
 
+def lucas_scan_periods(limit):
+    """{m: h_L(m)} for 1 <= m <= limit, off the Lucas scan's rows."""
+    rows = []
+    lucas_ratio_scan(limit, rows=rows.extend)
+    assert [row[0] for row in rows] == list(range(1, limit + 1))
+    return {row[0]: row[1] for row in rows}
+
+
 def test_period_table_matches_point_path():
     table = period_table(LIMIT)
-    lucas = lucas_period_table(table)
-    assert len(table.period) == len(lucas) == LIMIT + 1
+    lucas = lucas_scan_periods(LIMIT)
+    assert len(table.period) == LIMIT + 1
     for m in range(1, LIMIT + 1):
         h = pisano_period(m)
         got = (table.period[m], table.escalations[m], TABLE_METHODS[table.method[m]])
@@ -61,10 +68,32 @@ def test_period_table_matches_point_path():
 
 def test_period_tables_match_brute_oracle():
     table = period_table(BRUTE_LIMIT)
-    lucas = lucas_period_table(table)
+    lucas = lucas_scan_periods(BRUTE_LIMIT)
     for m in range(1, BRUTE_LIMIT + 1):
         assert table.period[m] == brute_period(m).period, m
         assert lucas[m] == lucas_brute_period(m).period, m
+
+
+def test_lucas_scan_checks_each_five_power_once(monkeypatch):
+    # h_L(5^a) is checked once, at m = 5^a, and reused for every 5^a k after
+    # it; lucas_period, the reference, looks the helper up in periods
+    checked = []
+
+    def spy(e):
+        checked.append(e)
+        return periods._lucas_five_power(e)
+
+    monkeypatch.setattr(analysis, "_lucas_five_power", spy)
+    lucas = lucas_scan_periods(5**7)
+    assert checked == list(range(1, 8))
+    for m in range(5, 5**7 + 1, 5):
+        assert lucas[m] == lucas_period(m).period, m
+    for a in (1, 2, 3):
+        for limit, powers in ((5**a - 1, a - 1), (5**a, a)):
+            checked.clear()
+            lucas = lucas_scan_periods(limit)
+            assert checked == list(range(1, powers + 1)), limit
+            assert lucas == {m: lucas_period(m).period for m in range(1, limit + 1)}
 
 
 def test_period_table_primes_match_the_pair_order_recipe():
