@@ -1,5 +1,6 @@
-"""General integer number theory: primality, a smallest-prime-factor sieve,
-factorization, divisors, modular square roots, multiplicative order.
+"""General integer number theory: primality (Baillie-PSW), a smallest-prime-
+factor sieve, factorization, divisors, modular square roots, multiplicative
+order.
 
 ``factorize`` divides out the primes below 1024, then splits what is left
 with Brent's rho.  Where its rounds would pass 256 steps, one Pollard p - 1
@@ -30,10 +31,8 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**63 - 1
 
 
-# The twelve primes up to 37: is_prime's trial divisors and its one witness
-# set, exact below psi_12 ~ 3.2e23, the least strong pseudoprime to all twelve
-# bases (Sorenson and Webster, 2015), so is_prime trusts it to U64_MAX.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# is_prime's trial divisors: the twelve primes up to 37
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _zeroed(typecode: str, n: int) -> array:
@@ -108,45 +107,114 @@ _TRIAL_LIMIT_SQ = 1024 * 1024
 # 2: it pairs giant steps 210 k, k = 11 .. 120, with the 24 baby steps
 # j < 105 prime to 210: 210 k +- j covers every prime from 2,207 to 25,303,
 # and a smaller prime r through a multiple r t prime to 210 in that range,
-# so a lower band would add none.
+# so a lower band would add none.  ``_STAGE2_TABLE`` drops the pairs that
+# cover no prime above 256 that the others miss.
 _P1_EXPONENT = _lcm_up_to(2048)
 _ECM_EXPONENT = _lcm_up_to(256)
 _STAGE2_GIANTS = range(11, 121)
+_STAGE2_BABIES = tuple(j for j in range(1, 105, 2) if math.gcd(j, 210) == 1)
+
+
+def _stage2_table() -> tuple[tuple[bool, ...], ...]:
+    """For each giant 210 k, which babies j stage 2 pairs it with: those
+    with 210 k - j or 210 k + j prime, and for each prime 256 < r < 2,207
+    that no such pair covers, the first pair with a multiple of r.  That is
+    1,929 of the 2,640 pairs, and they cover the same primes in (256,
+    25,303] as all of them; the primes up to 256 are in both stage 1s."""
+    top = 210 * _STAGE2_GIANTS[-1] + 105
+    spf = smallest_prime_factors(top)
+    hit = bytearray(top)  # hit[t]: t = 210 k +- j for a kept pair (k, j)
+    table = []
+    for g in range(210 * _STAGE2_GIANTS[0], top, 210):
+        row = [not (spf[g - j] and spf[g + j]) for j in _STAGE2_BABIES]
+        for j in compress(_STAGE2_BABIES, row):
+            hit[g - j] = hit[g + j] = 1
+        table.append(row)
+    start = 210 * _STAGE2_GIANTS[0] - 105
+    for r in compress(range(257, start), map(operator.not_, spf[257:start])):
+        first = -(-start // r) * r
+        if not any(hit[first::r]):
+            t = next(t for t in range(first, top, r) if math.gcd(t, 210) == 1)
+            g = (t + 105) // 210 * 210
+            table[g // 210 - _STAGE2_GIANTS[0]][_STAGE2_BABIES.index(abs(t - g))] = True
+            hit[t] = hit[2 * g - t] = 1
+    return tuple(map(tuple, table))
+
+
+_STAGE2_TABLE = _stage2_table()
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd n > 0, by quadratic reciprocity."""
+    t = 1
+    while a := a % n:
+        z = (a & -a).bit_length() - 1  # a = 2^z times an odd number
+        if z & 1 and n % 8 in (3, 5):
+            t = -t
+        a >>= z
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a, n = n, a
+    return t if n == 1 else 0
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for all n < 2^64 (no probabilistic error).
 
-    Trial division by the twelve primes up to 37, then Miller-Rabin to the
-    same bases.  Above U64_MAX a failed witness still proves n composite,
-    but an n that passes every base is a DomainError.
+    Trial division by the twelve primes up to 37, then Baillie-PSW: a strong
+    test to base 2 and ``_strong_lucas``, which no composite below 2^64
+    passes both of (Baillie, Fiori and Wagstaff, Math. Comp. 2021).  Above
+    U64_MAX a failed test still proves n composite, but an n that passes
+    both is a DomainError.
     """
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-
-    # write n-1 = d * 2^s
-    d = n - 1
-    s = 0
-    while d & 1 == 0:
-        d >>= 1
-        s += 1
-
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
+    if math.isqrt(n) ** 2 == n or not _strong_lucas(n):  # a square has no D
+        return False
     if n > U64_MAX:
-        raise DomainError(f"{n} passes every witness base but exceeds 2^64 - 1")
+        raise DomainError(f"{n} passes every witness base of the BPSW test but exceeds 2^64 - 1")
     return True
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas test (Baillie and Wagstaff, Math. Comp. 1980) of an
+    odd non-square n > 37, with Selfridge's P = 1 and Q = (1 - D) / 4 for
+    the first D of 5, -7, 9, -11, ... with (D | n) = -1: for n + 1 = d 2^s,
+    d odd, U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+
+    It runs ``_lucas_ladder`` with P' = 1 / Q - 2, whose W_i is V_2i / Q^i:
+    for d = 2 j + 1, V_d = Q^(j+1) (W_j + W_j+1), D U_d = 2 V_d+1 - V_d
+    = Q^(j+1) (W_j+1 - W_j) and V_(d 2^r) = Q^(d 2^(r-1)) W_(d 2^(r-1)).  A
+    prime of both n and Q leaves every U_i and V_i, i >= 1, at 1 mod it."""
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    q = (1 - D) // 4
+    if j == 0 or math.gcd(q, n) != 1:  # a prime of n divides D or Q
+        return False
+    p = (pow(q, -1, n) - 2) % n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s, d odd
+    w0, w1 = _lucas_ladder((n + 1) >> (s + 1), n, p)  # W_j, W_j+1
+    if w0 == w1 or (w0 + w1) % n == 0:  # U_d = 0 or V_d = 0
+        return True
+    w = (w0 * w1 - p) % n  # W_d
+    for _ in range(s - 1):
+        if w == 0:
+            return True
+        w = (w * w - 2) % n
+    return False
 
 
 @dataclass(frozen=True)
@@ -190,22 +258,23 @@ class Factorization:
         return cls(pairs)
 
 
-def _lucas_ladder(j: int, m: int) -> tuple[int, int]:
-    """(L_2j mod m, L_2j+2 mod m) for j >= 0, by two multiplications a bit.
+def _lucas_ladder(j: int, m: int, p: int = 3) -> tuple[int, int]:
+    """(V_j mod m, V_j+1 mod m) of the Lucas sequence V(p, 1) for j >= 0, by
+    two multiplications a bit; for p = 3 that is (L_2j, L_2j+2).
 
-    V_k = L_2k is the Lucas sequence V(3, 1) of phi^2 (phi^2 + psi^2 = 3,
-    phi^2 psi^2 = 1), and the ladder keeps (V_k, V_k+1) with
-    V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - 3 (Joye and Quisquater,
-    "Efficient computation of full Lucas sequences", 1996).
+    V_0 = 2, V_1 = p and V_k+1 = p V_k - V_k-1; p = 3 gives V_k = L_2k, the
+    sequence of phi^2 (phi^2 + psi^2 = 3, phi^2 psi^2 = 1).  The ladder keeps
+    (V_k, V_k+1) with V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - p (Joye and
+    Quisquater, "Efficient computation of full Lucas sequences", 1996).
     """
     if j <= 0:
-        return 2 % m, 3 % m
-    v, w = 3 % m, 7 % m  # (V_1, V_2): the leading bit of j
+        return 2 % m, p % m
+    v, w = p % m, (p * p - 2) % m  # (V_1, V_2): the leading bit of j
     for bit in bin(j)[3:]:
         if bit == "1":
-            v, w = (v * w - 3) % m, (w * w - 2) % m
+            v, w = (v * w - p) % m, (w * w - 2) % m
         else:
-            v, w = (v * v - 2) % m, (v * w - 3) % m
+            v, w = (v * v - 2) % m, (v * w - p) % m
     return v, w
 
 
@@ -221,22 +290,24 @@ def _stage2_multiples(p, add, dbl):
     giants = [step, dbl(step)]  # 210 k p from k = 1
     while len(giants) < _STAGE2_GIANTS[-1]:
         giants.append(add(giants[-1], step, giants[-2]))
-    babies = [odd[j // 2] for j in range(1, 105, 2) if math.gcd(j, 210) == 1]
+    babies = [odd[j // 2] for j in _STAGE2_BABIES]
     return babies, giants[_STAGE2_GIANTS[0] - 1:]
 
 
 def _stage2(babies, giants, n: int) -> int:
-    """gcd(n, product of g - b over the giants g and the babies b).
+    """gcd(n, product of g - b over the giants g and the babies b that
+    ``_STAGE2_TABLE`` pairs).
 
     Each value is x(i Q) for the stage-1 result Q, with x(-Q) = x(Q): the
     Lucas value a^i + a^-i for p - 1, a point's x-coordinate for ECM.  A
     prime q of n divides x(210 k Q) - x(j Q) when 210 k Q = +-j Q mod q, that
     is when the order of Q mod q divides 210 k - j or 210 k + j (Montgomery,
     "Speeding the Pollard and elliptic curve methods of factorization", 1987).
+    The table keeps the pairs that cover a prime order above 256.
     """
     acc = 1
-    for g in giants:
-        for b in babies:
+    for g, row in zip(giants, _STAGE2_TABLE):
+        for b in compress(babies, row):
             acc = acc * (g - b) % n
     return math.gcd(acc, n)
 
@@ -245,10 +316,10 @@ def _p_minus_1(n: int) -> int:
     """A proper divisor of an odd composite n by Pollard's p - 1, or 0.
 
     It finds a prime factor p of n when the order of 2 mod p divides
-    E = lcm(1, ..., 2048) (stage 1), or E times one prime up to 25,303
-    (stage 2: every prime from 2,207 directly, a smaller one through a
-    multiple prime to 210 in that range), unless every prime factor of n is
-    caught at once.  Never returns 1 or n.
+    E = lcm(1, ..., 2048) (stage 1), or E times one prime from 257 to
+    25,303 (stage 2: every prime from 2,207 directly, a smaller one through
+    a multiple prime to 210 in that range), unless every prime factor of n
+    is caught at once.  Never returns 1 or n.
     """
     a = pow(2, _P1_EXPONENT, n)
     g = math.gcd(a - 1, n)
@@ -277,18 +348,25 @@ def _xadd(xa: int, za: int, xb: int, zb: int, xd: int, zd: int, n: int) -> tuple
     return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
 
 
-def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
-    """k P for k >= 1 and P = (x : z), by Montgomery's ladder: it keeps
-    (k' P, (k' + 1) P) for the leading bits k' of k, whose difference is P."""
-    x0, z0 = x, z
-    x1, z1 = _xdbl(x, z, a24, n)
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """k P for k >= 1 and P = (x : 1), by Montgomery's ladder: it keeps
+    (k' P, (k' + 1) P) for the leading bits k' of k, whose difference is P.
+    Each bit adds the two (``_xadd`` with D = P, so Z_D = 1 drops a product)
+    and doubles one (``_xdbl``), from X +- Z worked out once per point."""
+    x0, z0 = x, 1
+    x1, z1 = _xdbl(x, 1, a24, n)
     for bit in bin(k)[3:]:
+        s0, d0, s1, d1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u, v = d1 * s0 % n, s1 * d0 % n
+        w, y = u + v, u - v
         if bit == "1":
-            x0, z0 = _xadd(x1, z1, x0, z0, x, z, n)
-            x1, z1 = _xdbl(x1, z1, a24, n)
+            s, d = s1 * s1 % n, d1 * d1 % n
+            t = s - d
+            x0, z0, x1, z1 = w * w % n, x * y * y % n, s * d % n, t * (d + a24 * t) % n
         else:
-            x1, z1 = _xadd(x1, z1, x0, z0, x, z, n)
-            x0, z0 = _xdbl(x0, z0, a24, n)
+            s, d = s0 * s0 % n, d0 * d0 % n
+            t = s - d
+            x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, w * w % n, x * y * y % n
     return x0, z0
 
 
@@ -316,16 +394,17 @@ def _ecm_stage2(x: int, z: int, a24: int, n: int) -> int:
     return _stage2(xs[: len(babies)], xs[len(babies):], n)
 
 
-def _suyama(sigma: int, n: int) -> tuple[int, int, int]:
+def _suyama(sigma: int, n: int) -> tuple[int, int]:
     """Suyama's curve sigma mod n, for n prime to 2 sigma (sigma^2 - 5): the
-    start (x : z) = (u^3 : v^3), u = sigma^2 - 5 and v = 4 sigma, and
-    a24 = (A + 2) / 4 = (v - u)^3 (3 u + v) / (16 u^3 v) of its curve
-    B y^2 = x^3 + A x^2 + x, whose group order mod a prime where it is
-    nonsingular is a multiple of 12 (Montgomery 1987)."""
+    start's x = u^3 / v^3, u = sigma^2 - 5 and v = 4 sigma, as the point
+    (x : 1), and a24 = (A + 2) / 4 = (v - u)^3 (3 u + v) / (16 u^3 v) of its
+    curve B y^2 = x^3 + A x^2 + x, whose group order mod a prime where it is
+    nonsingular is a multiple of 12 (Montgomery 1987).  (u^3 : v^3) is the
+    same point scaled by the unit v^3, so every gcd that ECM takes is too."""
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
-    x = pow(u, 3, n)
-    return x, pow(v, 3, n), pow(v - u, 3, n) * (3 * u + v) * pow(16 * x * v, -1, n) % n
+    u3 = pow(u, 3, n)
+    return u3 * pow(v, -3, n) % n, pow(v - u, 3, n) * (3 * u + v) * pow(16 * u3 * v, -1, n) % n
 
 
 def _ecm(n: int) -> int:
@@ -335,15 +414,15 @@ def _ecm(n: int) -> int:
 
     Curve sigma = 6, 7, ... (``_suyama``) finds a prime q of n when its
     start's order mod q divides E = lcm(1, ..., 256) (stage 1), or E times
-    one prime up to 25,303 (stage 2, as in p - 1).  One that catches no
+    one prime from 257 to 25,303 (stage 2, as in p - 1).  One that catches no
     prime of n, or every prime at once, gives way to the next.
     """
     for sigma in count(6):
         # 16 u^3 v is prime to the odd n exactly when sigma (sigma^2 - 5) is
         g = math.gcd(sigma * (sigma * sigma - 5), n)
         if g == 1:
-            x, z, a24 = _suyama(sigma, n)
-            x, z = _ladder(_ECM_EXPONENT, x, z, a24, n)
+            x, a24 = _suyama(sigma, n)
+            x, z = _ladder(_ECM_EXPONENT, x, a24, n)
             g = math.gcd(z, n)
             if g == 1:
                 g = _ecm_stage2(x, z, a24, n)

@@ -195,7 +195,7 @@ def test_fib_index_beyond_f92_exits_one_at_once(m):
     assert proc.stderr == f"error: F_{m} exceeds the modulus domain 2^63 - 1 (index {m} > 92)\n"
 
 
-# a strong pseudoprime to every witness base of is_prime, and 2^89 - 1
+# a strong pseudoprime to the twelve primes up to 37, and 2^89 - 1
 @pytest.mark.parametrize("p", ["3317044064679887385961981", str(2**89 - 1)])
 @pytest.mark.parametrize("command", ["classify", "fpr"])
 def test_a_prime_beyond_the_domain_is_a_domain_error(capsys, command, p):

@@ -95,21 +95,23 @@ def test_is_prime_large_knowns():
     assert not is_prime(1000000007 * 1000000009)
 
 
-# psi_12, the least strong pseudoprime to all twelve witness bases, a larger
-# one, and the Mersenne prime 2^89 - 1: beyond 2^64 - 1 none is certified
-@pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981,
-                               2**89 - 1])
+# Mersenne primes pass both halves of BPSW, but beyond 2^64 - 1 none is
+# certified
+@pytest.mark.parametrize("n", [2**89 - 1, 2**127 - 1])
 def test_is_prime_certifies_no_prime_beyond_64_bits(n):
     with pytest.raises(DomainError, match="passes every witness base"):
         is_prime(n)
 
 
 def test_is_prime_beyond_64_bits_still_proves_composites():
-    assert not is_prime(2**89 + 1)
+    # psi_12, the least strong pseudoprime to all twelve primes up to 37, and
+    # a larger one pass the base-2 half and fail the Lucas half
+    for n in (2**89 + 1, 318665857834031151167461, 3317044064679887385961981):
+        assert is_prime(n) is False, n
     with pytest.raises(DomainError, match="passes every witness base"):
-        factorize(3317044064679887385961981)
+        factorize(2**127 - 1)
     with pytest.raises(DomainError, match="passes every witness base"):
-        mod_sqrt(4, 3317044064679887385961981)
+        mod_sqrt(4, 2**127 - 1)
 
 
 def test_is_prime_random_cross_check():
@@ -133,6 +135,81 @@ def test_is_prime_matches_sympy_up_to_64_bits(lo, hi):
     for _ in range(200):
         n = rng.randrange(lo, hi) | 1
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def eratosthenes(n):
+    """flags[k] = 1 for the primes k < n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n, p)))
+    return flags
+
+
+def strong_base_2(n):
+    """The strong probable-prime test to base 2 of an odd n > 2."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+# Below 200,000, among the n with no prime factor up to 37, the composites
+# that pass the base-2 strong test, which only the Lucas half rejects, and
+# those that pass the strong Lucas test with Selfridge's parameters, which
+# only the base-2 half rejects
+BASE_2_PSEUDOPRIMES = (8321, 42799, 49141, 65281, 80581, 85489, 88357, 90751, 104653,
+                       130561, 196093)
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                      75077, 97439, 100127, 113573, 115639, 130139, 158399, 161027, 162133,
+                      176399, 176471, 189419, 192509, 197801)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    flags = eratosthenes(200000)
+    for n in range(200000):
+        assert is_prime(n) == flags[n], n
+    rough = [n for n in range(41, 200000, 2)
+             if not flags[n] and all(n % p for p in SMALL_PRIMES)]
+    assert tuple(n for n in rough if strong_base_2(n)) == BASE_2_PSEUDOPRIMES
+
+
+@pytest.mark.parametrize("n", BASE_2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES)
+def test_each_half_of_bpsw_rejects_the_other_halfs_pseudoprimes(n):
+    factors = trial_factor(n)
+    assert sum(e for _, e in factors) > 1 and factors[0][0] > 37
+    assert strong_base_2(n) == (n in BASE_2_PSEUDOPRIMES)
+    assert numth._strong_lucas(n) == (n in LUCAS_PSEUDOPRIMES)
+    assert is_prime(n) is False
+
+
+def test_squares_of_the_wieferich_primes_stop_at_the_square_check(monkeypatch):
+    # base-2 strong pseudoprimes, so they pass the base-2 half.  No D has
+    # (D | n) = -1 for a square n, so the Lucas half's search for one would
+    # end only at a D that shares a prime with n
+    calls = []
+    monkeypatch.setattr(numth, "_strong_lucas", calls.append)
+    for p in (1093, 3511):
+        assert strong_base_2(p * p)
+        assert is_prime(p * p) is False
+    assert calls == []
+
+
+def test_strong_lucas_half_matches_sympy():
+    # the 11,724 odd composites below 200,000 with no prime factor up to 37
+    # that are not squares, then 3,000 seeded odd n of 62 to 64 bits
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    flags = eratosthenes(200000)
+    rng = random.Random(2021)
+    ns = [n for n in range(41, 200000, 2) if not flags[n]]
+    ns += [rng.randrange(2**62, 2**64) | 1 for _ in range(3000)]
+    ns = [n for n in ns if all(n % p for p in SMALL_PRIMES) and math.isqrt(n) ** 2 != n]
+    lucas = [n for n in ns if numth._strong_lucas(n)]
+    assert lucas == [n for n in ns if primetest.is_strong_lucas_prp(n)]
+    assert [n for n in lucas if n < 200000] == list(LUCAS_PSEUDOPRIMES)
 
 
 def test_factorize_small_exhaustive():
@@ -369,6 +446,22 @@ def test_paired_stage_2_splits_whatever_the_48_baby_stage_2_splits():
     assert old_splits >= 20  # 27 of the 127 that stage 1 leaves
 
 
+def test_stage_2_table_covers_what_every_pair_covers():
+    # the primes 256 < r <= 25,303 that divide a term 210 k +- j, by trial
+    # division: the 1,929 pairs the table keeps cover every one of them, as
+    # all 2,640 pairs do
+    def covered(pairs):
+        return {r for k, j in pairs for t in (210 * k - j, 210 * k + j)
+                for r, _ in trial_factor(t) if 256 < r <= 25303}
+
+    every = [(k, j) for k in numth._STAGE2_GIANTS for j in BABIES]
+    kept = [(k, j) for k, row in zip(numth._STAGE2_GIANTS, numth._STAGE2_TABLE)
+            for j, keep in zip(BABIES, row) if keep]
+    assert len(numth._STAGE2_TABLE) == len(numth._STAGE2_GIANTS) and len(kept) == 1929
+    primes = {r for r in range(257, 25304) if trial_is_prime(r)}
+    assert covered(kept) == covered(every) == primes and len(primes) == 2736
+
+
 # ECM's curves against the textbook group law, with nothing shared with the
 # module's x-only arithmetic: affine points (x, y) on B y^2 = x^3 + A x^2 + x
 # over F_p, and None for the point at infinity
@@ -436,12 +529,12 @@ def test_curve_arithmetic_matches_the_affine_group_law():
         for sigma in range(6, 21):
             A, B, start = suyama_curve(sigma, p)
             assert B * (A * A - 4) % p, (p, sigma)  # not singular
-            x, z, a24 = numth._suyama(sigma, p)
-            assert same_x((x, z), start, p) and a24 == (A + 2) * pow(4, -1, p) % p
+            x, a24 = numth._suyama(sigma, p)
+            assert same_x((x, 1), start, p) and a24 == (A + 2) * pow(4, -1, p) % p
             order = curve_order(A, B, p)
             assert order % 12 == 0, (p, sigma, order)  # Suyama's torsion
             assert affine_mul(order, start, A, B, p) is None
-            assert same_x(numth._ladder(order, x, z, a24, p), None, p)
+            assert same_x(numth._ladder(order, x, a24, p), None, p)
             kp = [None, start]
             for _ in range(2, 41):
                 kp.append(affine_add(kp[-1], start, A, B, p))
@@ -456,7 +549,7 @@ def test_curve_arithmetic_matches_the_affine_group_law():
                                     *projective(d, a + b, p), p)
                     assert same_x(s, kp[a + b], p), (p, sigma, a, b)
             for k in range(1, 41):
-                assert same_x(numth._ladder(k, x, z, a24, p), kp[k], p), (p, sigma, k)
+                assert same_x(numth._ladder(k, x, a24, p), kp[k], p), (p, sigma, k)
 
 
 def test_ecm_stage_2_matches_a_ladder_per_multiple():
@@ -467,11 +560,12 @@ def test_ecm_stage_2_matches_a_ladder_per_multiple():
     for _ in range(20):
         n = seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31)
         for sigma in (6, 7):
-            x, z, a24 = numth._suyama(sigma, n)
-            x, z = numth._ladder(numth._ECM_EXPONENT, x, z, a24, n)
+            x, a24 = numth._suyama(sigma, n)
+            x, z = numth._ladder(numth._ECM_EXPONENT, x, a24, n)
             if math.gcd(z, n) != 1:
                 continue
-            points = [numth._ladder(i, x, z, a24, n) for i in multiples]
+            affine = x * pow(z, -1, n) % n  # the ladder starts from (x : 1)
+            points = [numth._ladder(i, affine, a24, n) for i in multiples]
             g = math.gcd(math.prod(pz for _, pz in points), n)
             if g == 1:
                 xs = [px * pow(pz, -1, n) % n for px, pz in points]

@@ -76,8 +76,9 @@ def test_prime_period_rejects_composites():
         prime_period(10)
 
 
-# A strong pseudoprime to all twelve witness bases of is_prime, which is
-# exact only below 2^64, and a Mersenne prime: both lie beyond 2^63 - 1.
+# A strong pseudoprime to the twelve primes up to 37, which is_prime proves
+# composite, and a Mersenne prime, which is_prime does not certify beyond
+# 2^64 - 1: both lie beyond 2^63 - 1.
 PSEUDOPRIME = 3317044064679887385961981
 BEYOND_THE_DOMAIN = (PSEUDOPRIME, 2**89 - 1, MODULUS_MAX + 1)
 
@@ -89,8 +90,10 @@ BEYOND_THE_DOMAIN = (PSEUDOPRIME, 2**89 - 1, MODULUS_MAX + 1)
         "fibonacci_primitive_root", "theorem1_period", "theorem2_period"])
 def test_per_prime_entry_points_reject_p_beyond_the_domain(entry):
     assert PSEUDOPRIME == 1287836182261 * 2575672364521
-    with pytest.raises(DomainError, match="passes every witness base"):
-        is_prime(PSEUDOPRIME)
+    assert is_prime(PSEUDOPRIME) is False
+    for p in (2**89 - 1, 2**127 - 1):
+        with pytest.raises(DomainError, match="passes every witness base"):
+            is_prime(p)
     for p in BEYOND_THE_DOMAIN:
         with pytest.raises(DomainError, match="exceeds the supported domain 2\\^63 - 1"):
             entry(p)
