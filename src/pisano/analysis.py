@@ -22,8 +22,9 @@ computed once and verified.  The Lucas scan recomputes only the multiples
 of 5, and the filter scan reads each class bound's factorization off the
 same sieve.  Each scan takes that table as ``table=`` (``pisano scan
 --suite all`` builds one and hands it to every suite) or builds its own.
-The wall scan tests each n's multiples as one slice of the table.  A
-limit below 1 or too large for the tables is a DomainError up front.
+The wall scan counts n = 1's pairs unsliced and tests every other n's
+multiples in table slices of at most 2^16 entries.  A limit below 1 or too
+large for the tables is a DomainError up front.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ _ROW_FLAGS_TEXT = tuple(_flags_text(flags) for flags in _ROW_FLAG_SETS)
 _FLAGS_OF_TEXT = dict(zip(_ROW_FLAGS_TEXT, _ROW_FLAG_SETS))
 # a row's method text, indexed by the period table's method code
 _METHOD_TEXT = tuple(method.value for method in TABLE_METHODS)
+_WALL_BLOCK = 1 << 16  # the most multiples in one slice of the wall suite
 
 
 @dataclass(frozen=True)
@@ -440,17 +442,26 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
             details=parity_violations,
         )
 
-    # each n's multiples as one slice of the table, tested in one map; an n
-    # that fails has its pairs listed one by one
+    # h(n) = 1 (n = 1) divides every h(m), so its pairs are only counted; any
+    # other n's multiples come in slices of at most _WALL_BLOCK, each tested
+    # in one map, and a slice that fails has its pairs listed one by one
     divisibility_checked = 0
     divisibility_violations = []
+    end = div_limit + 1
     for n in range(1, div_limit // 2 + 1):
         hn = periods[n]
-        multiples = periods[2 * n:div_limit + 1:n]
-        divisibility_checked += len(multiples)
-        if any(map(hn.__rmod__, multiples)):
-            divisibility_violations += [(n, k * n, hn, hm)
-                                        for k, hm in enumerate(multiples, 2) if hm % hn]
+        if hn == 1:
+            divisibility_checked += div_limit // n - 1
+            continue
+        start, step = 2 * n, _WALL_BLOCK * n
+        while start < end:
+            stop = start + step
+            multiples = periods[start:stop if stop < end else end:n]
+            divisibility_checked += len(multiples)
+            if any(map(hn.__rmod__, multiples)):
+                divisibility_violations += [(n, k * n, hn, hm) for k, hm in
+                                            enumerate(multiples, start // n) if hm % hn]
+            start = stop
     if divisibility_violations:
         raise ClaimViolationError(
             f"h(n) | h(m) violated at {divisibility_violations[:10]}",

@@ -47,20 +47,21 @@ def _zeroed(typecode: str, n: int) -> array:
 
 def smallest_prime_factors(n: int) -> array:
     """spf[m] = the smallest prime factor of composite m <= n, and 0 for a
-    prime or m < 2 (so entries stay below 2^32).
+    prime or m < 2.  Entries are at most sqrt(n), so the array is 'H' (2
+    bytes) while sqrt(n) < 2^16 and 'I' beyond.
 
     Sieve of Eratosthenes run downwards: every prime p <= sqrt(n) marks its
     multiples from p^2, and the smaller primes, marked later, overwrite.
     The primes p <= sqrt(n) come from the same sieve one level down.
     """
-    spf = _zeroed("I", n + 1)
     root = math.isqrt(n)
+    spf = _zeroed("H" if root < 1 << 16 else "I", n + 1)
     if root >= 2:
         below = smallest_prime_factors(root)
         for p in range(root, 1, -1):
             if not below[p]:
                 start = p * p
-                spf[start::p] = array("I", (p,)) * ((n - start) // p + 1)
+                spf[start::p] = array(spf.typecode, (p,)) * ((n - start) // p + 1)
     return spf
 
 

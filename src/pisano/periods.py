@@ -273,8 +273,8 @@ class PeriodTable:
     and ``TABLE_METHODS[method[m]]`` its ``method``.
     """
 
-    spf: array           # 'I', numth.smallest_prime_factors(limit)
-    period: array        # 'Q'
+    spf: array           # numth.smallest_prime_factors(limit), 'H' or 'I'
+    period: array        # 'I' while 6 limit < 2^32 (h(m) <= 6m), else 'Q'
     escalations: array   # 'B'
     method: array        # 'B', an index into TABLE_METHODS
 
@@ -286,31 +286,37 @@ def period_table(limit: int) -> PeriodTable:
     For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
     its class bound, whose primes come off the sieve; a prime power is
     lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)).  A
-    limit below 1, or one whose tables cannot be allocated, is a DomainError.
+    limit below 1, or one whose tables cannot be allocated, is a DomainError,
+    and an h(m) past ``period``'s typecode, so above 6m, a ClaimViolationError.
     """
     if limit < 1:
         raise DomainError(f"table limit {limit} must be >= 1")
     spf = smallest_prime_factors(limit)
     sieve_factors = functools.partial(_sieve_factors, spf)
-    period = _zeroed("Q", limit + 1)
+    period = _zeroed("I" if 6 * limit < 1 << 32 else "Q", limit + 1)
     escalations = _zeroed("B", limit + 1)
     method = _zeroed("B", limit + 1)
     period[1] = 1
     for m in range(2, limit + 1):
         p = spf[m]
         if not p:
-            period[m] = _prime_order(m, *_class_bound(m, sieve_factors))
+            h = _prime_order(m, *_class_bound(m, sieve_factors))
             method[m] = 1  # PRIME_DIVISOR_SEARCH
-            continue
-        rest = m // p
-        while rest % p == 0:
-            rest //= p
-        if rest > 1:
-            pe = m // rest
-            period[m] = math.lcm(period[pe], period[rest])
-            escalations[m] = escalations[pe] + escalations[rest]
-            continue
-        period[m], escalations[m] = _lift(p, m, period[p])
-        method[m] = 2  # PRIME_POWER_LIFT
+        else:
+            rest = m // p
+            while rest % p == 0:
+                rest //= p
+            if rest > 1:
+                pe = m // rest
+                h = math.lcm(period[pe], period[rest])
+                escalations[m] = escalations[pe] + escalations[rest]
+            else:
+                h, escalations[m] = _lift(p, m, period[p])
+                method[m] = 2  # PRIME_POWER_LIFT
+        try:
+            period[m] = h
+        except OverflowError:
+            raise ClaimViolationError(f"6m bound violated: h({m}) = {h} > {6 * m}",
+                                      [(m, h)]) from None
     return PeriodTable(spf, period, escalations, method)
 

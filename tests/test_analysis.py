@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pisano import cli
+from pisano import analysis, cli
 from pisano.analysis import (
     CSV_COLUMNS,
     FILTER_CSV_COLUMNS,
@@ -183,18 +183,28 @@ def wall_pairs_by_loop(periods, div_limit):
     return checked, violations
 
 
-@pytest.mark.parametrize("limit,divisor_limit", [(1, None), (2, None), (3, None),
-                                                 (400, None), (400, 100), (400, 399),
-                                                 (5000, None)])
-def test_wall_scan_counts_the_pairs_of_the_loop(limit, divisor_limit):
+WALL_LIMITS = [(1, None), (2, None), (3, None), (400, None), (400, 100), (400, 399),
+               (5000, None)]
+# with slices of 3, m = 35 ends the slice k = 5..7 of n = 5 and starts the
+# slice k = 5..7 of n = 7
+WALL_PLANTS = [(60, 122), (7, 18), (400, 2), (199, 200), (35, 82)]
+
+
+@pytest.fixture
+def wall_slices_of_3(monkeypatch):
+    """Slice the wall suite's multiples 3 at a time, so that every n with
+    more than three multiples spans several slices."""
+    monkeypatch.setattr(analysis, "_WALL_BLOCK", 3)
+
+
+def check_wall_pair_count(limit, divisor_limit):
     table = period_table(limit)
     s = wall_property_scan(limit, divisor_limit, table=table)
     div_limit = limit if divisor_limit is None else divisor_limit
     assert s.divisibility_checked == wall_pairs_by_loop(table.period, div_limit)[0]
 
 
-@pytest.mark.parametrize("m,period", [(60, 122), (7, 18), (400, 2), (199, 200)])
-def test_wall_scan_reports_a_planted_violation_as_the_loop_does(m, period):
+def check_wall_planted_violation(m, period):
     # an even period keeps the parity pass quiet; the divisibility pass then
     # lists every pair the loop lists, in the loop's order
     table = period_table(400)
@@ -205,6 +215,41 @@ def test_wall_scan_reports_a_planted_violation_as_the_loop_does(m, period):
         wall_property_scan(400, table=table)
     assert str(info.value) == f"h(n) | h(m) violated at {violations[:10]}"
     assert info.value.details == violations
+
+
+@pytest.mark.parametrize("limit,divisor_limit", WALL_LIMITS)
+def test_wall_scan_counts_the_pairs_of_the_loop(limit, divisor_limit):
+    check_wall_pair_count(limit, divisor_limit)
+
+
+@pytest.mark.parametrize("limit,divisor_limit", WALL_LIMITS)
+def test_wall_scan_in_slices_of_3_counts_the_pairs_of_the_loop(wall_slices_of_3, limit,
+                                                                divisor_limit):
+    check_wall_pair_count(limit, divisor_limit)
+
+
+@pytest.mark.parametrize("m,period", WALL_PLANTS)
+def test_wall_scan_reports_a_planted_violation_as_the_loop_does(m, period):
+    check_wall_planted_violation(m, period)
+
+
+@pytest.mark.parametrize("m,period", WALL_PLANTS)
+def test_wall_scan_in_slices_of_3_reports_a_planted_violation_as_the_loop_does(
+        wall_slices_of_3, m, period):
+    check_wall_planted_violation(m, period)
+
+
+@pytest.mark.parametrize("slices_of_3", [False, True])
+def test_wall_scan_slices_n_1_when_h_1_is_not_1(monkeypatch, slices_of_3):
+    # n = 1 goes unsliced only because h(1) = 1; a planted h(1) = 2 fails
+    # h(2) = 3, the one odd period, and only there
+    if slices_of_3:
+        monkeypatch.setattr(analysis, "_WALL_BLOCK", 3)
+    table = period_table(400)
+    table.period[1] = 2
+    with pytest.raises(ClaimViolationError) as info:
+        wall_property_scan(400, table=table)
+    assert info.value.details == [(1, 2, 2, 3)]
 
 
 def test_scan_record_serialization():

@@ -560,31 +560,43 @@ def test_curve_arithmetic_matches_the_affine_group_law():
                 assert same_x(numth._ladder(k, x, a24, p), kp[k], p), (p, sigma, k)
 
 
+# A curve on which the table's pairs and all 2,640 pairs differ: the full
+# product splits off this prime through the dropped pair (k, j) = (30, 41),
+# whose terms 6,259 = 11 * 569 and 6,341 = 17 * 373 no kept pair covers
+TABLE_MISS_N, TABLE_MISS_SIGMA, TABLE_MISS_P = 2143034200446887911, 9, 1091788703
+
+
 def test_ecm_stage_2_matches_a_ladder_per_multiple():
-    # each baby j Q and giant 210 k Q from its own ladder, not from the chain
+    # each baby j Q and giant 210 k Q from its own ladder, not from the chain,
+    # and the differences of the pairs that _STAGE2_TABLE keeps multiplied
     rng = random.Random(2417)
+    moduli = [seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31)
+              for _ in range(20)]
+    curves = [(n, sigma) for n in moduli for sigma in (6, 7)]
     multiples = BABIES + [210 * k for k in numth._STAGE2_GIANTS]
-    splits = 0
-    for _ in range(20):
-        n = seeded_prime(rng, 2**30, 2**31) * seeded_prime(rng, 2**30, 2**31)
-        for sigma in (6, 7):
-            x, a24 = numth._suyama(sigma, n)
-            x, z = numth._ladder(numth._ECM_EXPONENT, x, a24, n)
-            if math.gcd(z, n) != 1:
-                continue
-            affine = x * pow(z, -1, n) % n  # the ladder starts from (x : 1)
-            points = [numth._ladder(i, affine, a24, n) for i in multiples]
-            g = math.gcd(math.prod(pz for _, pz in points), n)
-            if g == 1:
-                xs = [px * pow(pz, -1, n) % n for px, pz in points]
-                acc = 1
-                for giant in xs[len(BABIES):]:
-                    for baby in xs[: len(BABIES)]:
+    splits, full_gcds = 0, {}
+    for n, sigma in curves + [(TABLE_MISS_N, TABLE_MISS_SIGMA)]:
+        x, a24 = numth._suyama(sigma, n)
+        x, z = numth._ladder(numth._ECM_EXPONENT, x, a24, n)
+        if math.gcd(z, n) != 1:
+            continue
+        affine = x * pow(z, -1, n) % n  # the ladder starts from (x : 1)
+        points = [numth._ladder(i, affine, a24, n) for i in multiples]
+        g = math.gcd(math.prod(pz for _, pz in points), n)
+        if g == 1:
+            xs = [px * pow(pz, -1, n) % n for px, pz in points]
+            acc = full = 1
+            for giant, row in zip(xs[len(BABIES):], numth._STAGE2_TABLE):
+                for baby, kept in zip(xs[: len(BABIES)], row):
+                    full = full * (giant - baby) % n
+                    if kept:
                         acc = acc * (giant - baby) % n
-                g = math.gcd(acc, n)
-            assert numth._ecm_stage2(x, z, a24, n) == g, (n, sigma)
-            splits += 1 < g < n
-    assert splits >= 6  # 8 of the 39 curves that reach stage 2
+            g = math.gcd(acc, n)
+            full_gcds[n, sigma] = math.gcd(full, n)
+        assert numth._ecm_stage2(x, z, a24, n) == g, (n, sigma)
+        splits += 1 < g < n
+    assert full_gcds[TABLE_MISS_N, TABLE_MISS_SIGMA] == TABLE_MISS_P
+    assert splits >= 6  # 8 of the 40 curves that reach stage 2
 
 
 # Primes near 2^31 for ECM's first curve, sigma = 6, by the order of its

@@ -119,6 +119,29 @@ def test_a_lying_ladder_is_a_claim_violation(monkeypatch, p):
     assert period_table(100).period[89] == 44
 
 
+def test_period_table_stores_4_byte_periods_and_a_2_byte_sieve():
+    table = period_table(1000)
+    assert table.period.typecode == "I" and table.spf.typecode == "H"
+
+
+# a period of 2^32 does not fit the 'I' table: h(7) from the prime search
+# (m is its first argument), and h(49) from the lift (its second)
+@pytest.mark.parametrize("name,at,m,value", [("_prime_order", 0, 7, 1 << 32),
+                                             ("_lift", 1, 49, (1 << 32, 0))])
+def test_a_period_past_the_table_typecode_is_a_claim_violation(monkeypatch, capsys,
+                                                               name, at, m, value):
+    real = getattr(periods, name)
+    monkeypatch.setattr(periods, name,
+                        lambda *args: value if args[at] == m else real(*args))
+    with pytest.raises(ClaimViolationError) as info:
+        period_table(100)
+    assert str(info.value) == f"6m bound violated: h({m}) = {1 << 32} > {6 * m}"
+    assert info.value.details == [(m, 1 << 32)]
+    assert main(["scan", "--suite", "ratio", "--limit", "100"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: 6m bound violated: h({m}) = {1 << 32} > {6 * m}\n")
+
+
 def test_ratio_scan_records_match_point_path():
     records = []
     summary = ratio_scan(LIMIT, records.append)
