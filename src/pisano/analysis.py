@@ -22,9 +22,11 @@ computed once and verified.  The Lucas scan recomputes only the multiples
 of 5, and the filter scan reads each class bound's factorization off the
 same sieve.  Each scan takes that table as ``table=`` (``pisano scan
 --suite all`` builds one and hands it to every suite) or builds its own.
-The wall scan counts n = 1's pairs unsliced and tests every other n's
-multiples in table slices of at most 2^16 entries.  A limit below 1 or too
-large for the tables is a DomainError up front.
+The wall scan tests h(n) | h(m) by prime steps, h(m/p) | h(m) for each
+prime p | m, in table slices of at most 2^16 entries, and counts the pairs
+n | m by formula; only a failed test walks the pairs n by n to list every
+violation.  A limit below 1 or too large for the tables is a DomainError up
+front.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ import enum
 import functools
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, islice
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
@@ -426,14 +430,50 @@ def filter_agreement_scan(prime_limit: int, *, table: PeriodTable | None = None,
 def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
                        table: PeriodTable | None = None) -> WallScanSummary:
     """Assert h(m) is even for 2 < m <= limit and h(n) | h(m) whenever
-    n | m <= divisor_limit (defaults to limit)."""
+    n | m <= divisor_limit (defaults to limit).
+
+    The pairs hold exactly when every prime step h(m/p) | h(m) does, since
+    n | n p1 | n p1 p2 | ... | m climbs one prime at a time and divisibility
+    is transitive.  So the parity and the steps are tested in C and the pairs
+    counted by formula; only a failure runs ``_wall_pairs``, which raises
+    with every violation, pair by pair."""
     div_limit = limit if divisor_limit is None else divisor_limit
     if div_limit > limit:
         raise DomainError("divisor_limit cannot exceed limit")
-    periods = _table_for(limit, table).period
+    table = _table_for(limit, table)
     if div_limit < 0:
         raise DomainError(f"divisor_limit {div_limit} must be >= 0")
 
+    half = div_limit // 2
+    pairs = sum(map(div_limit.__floordiv__, range(1, half + 1))) - half
+    if (any(map((2).__rmod__, islice(table.period, 3, limit + 1)))
+            or not _prime_steps_hold(div_limit, table.period, table.spf)):
+        pairs = _wall_pairs(limit, div_limit, table.period)
+    return WallScanSummary(limit, div_limit, max(limit - 2, 0), pairs)
+
+
+def _prime_steps_hold(div_limit: int, periods, spf) -> bool:
+    """Whether h(m/p) | h(m) for every prime p | m <= div_limit, tested in
+    slices of at most _WALL_BLOCK values of k = m/p (spf is 0 at a prime)."""
+    half, end = div_limit // 2, div_limit + 1
+    h1 = periods[1]
+    # a prime p > div_limit / 2 steps only from k = 1, which h(1) = 1 passes
+    if h1 != 1 and any(map(h1.__rmod__, compress(islice(periods, half + 1, end),
+                                                 map(operator.not_, islice(spf, half + 1, end))))):
+        return False
+    for p in compress(range(2, half + 1), map(operator.not_, islice(spf, 2, half + 1))):
+        last = div_limit // p + 1
+        for k in range(1, last, _WALL_BLOCK):
+            stop = min(k + _WALL_BLOCK, last)
+            if any(map(operator.mod, periods[k * p:stop * p:p], periods[k:stop])):
+                return False
+    return True
+
+
+def _wall_pairs(limit: int, div_limit: int, periods) -> int:
+    """The wall suite pair by pair: raise ClaimViolationError with every odd
+    h(m), 2 < m <= limit, or else with every pair n | m <= div_limit where
+    h(n) does not divide h(m); return the number of pairs when none fails."""
     parity_violations = [(m, periods[m]) for m in range(3, limit + 1)
                          if periods[m] % 2]
     if parity_violations:
@@ -467,7 +507,7 @@ def wall_property_scan(limit: int, divisor_limit: int | None = None, *,
             f"h(n) | h(m) violated at {divisibility_violations[:10]}",
             details=divisibility_violations,
         )
-    return WallScanSummary(limit, div_limit, max(limit - 2, 0), divisibility_checked)
+    return divisibility_checked
 
 
 # ---------------------------------------------------------------------------

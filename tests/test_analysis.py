@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,8 +188,9 @@ def wall_pairs_by_loop(periods, div_limit):
 WALL_LIMITS = [(1, None), (2, None), (3, None), (400, None), (400, 100), (400, 399),
                (5000, None)]
 # with slices of 3, m = 35 ends the slice k = 5..7 of n = 5 and starts the
-# slice k = 5..7 of n = 7
-WALL_PLANTS = [(60, 122), (7, 18), (400, 2), (199, 200), (35, 82)]
+# slice k = 5..7 of n = 7; each of the last two fails one prime step (see
+# test_two_plants_fail_one_prime_step_each)
+WALL_PLANTS = [(60, 122), (7, 18), (400, 2), (199, 200), (35, 82), (398, 44), (33, 20)]
 
 
 @pytest.fixture
@@ -250,6 +253,110 @@ def test_wall_scan_slices_n_1_when_h_1_is_not_1(monkeypatch, slices_of_3):
     with pytest.raises(ClaimViolationError) as info:
         wall_property_scan(400, table=table)
     assert info.value.details == [(1, 2, 2, 3)]
+
+
+def failing_prime_steps(periods, div_limit):
+    """Every prime step (m/p, m) with h(m/p) not dividing h(m), one Python
+    step each."""
+    return [(m // p, m) for m in range(2, div_limit + 1) for p in sorted(prime_factors(m))
+            if periods[m] % periods[m // p]]
+
+
+@pytest.mark.parametrize("limit,divisor_limit", WALL_LIMITS)
+def test_the_pair_pass_counts_the_pairs_of_the_loop(limit, divisor_limit):
+    # the failure path's own count, which the summary's formula replaces
+    table = period_table(limit)
+    div_limit = limit if divisor_limit is None else divisor_limit
+    assert (analysis._wall_pairs(limit, div_limit, table.period)
+            == wall_pairs_by_loop(table.period, div_limit)[0])
+
+
+@pytest.mark.parametrize("slices_of_3", [False, True])
+def test_a_true_table_never_takes_the_pair_pass(monkeypatch, slices_of_3):
+    # the pair-by-pair pass runs only when a prime step or the parity fails
+    if slices_of_3:
+        monkeypatch.setattr(analysis, "_WALL_BLOCK", 3)
+    monkeypatch.setattr(analysis, "_wall_pairs", None)
+    for limit, divisor_limit in WALL_LIMITS:
+        wall_property_scan(limit, divisor_limit)
+
+
+def test_two_plants_fail_one_prime_step_each():
+    # 199 is the largest prime <= 400 / 2: h(199) = 22 divides 44, but h(2) = 3
+    # does not; k = 3 ends p = 11's slice k = 1..3 under slices of 3: h(11) =
+    # 10 divides 20, but h(3) = 8 does not
+    for m, period, step in [(398, 44, (2, 398)), (33, 20, (3, 33))]:
+        table = period_table(400)
+        table.period[m] = period
+        assert failing_prime_steps(table.period, 400) == [step]
+
+
+def test_wall_scan_sees_a_step_that_starts_the_second_block():
+    # k = 2^16 + 1 (a prime) starts p = 2's second slice of _WALL_BLOCK
+    # values; half of h(131074) = 43692 is still a multiple of h(2) = 3, but
+    # not of h(65537) = 14564
+    assert analysis._WALL_BLOCK == 1 << 16
+    table = period_table(131074)
+    table.period[131074] = 21846
+    with pytest.raises(ClaimViolationError) as info:
+        wall_property_scan(131074, table=table)
+    assert info.value.details == [(65537, 131074, 14564, 21846)]
+
+
+def test_wall_scan_sees_h_1_fail_a_prime_above_half_the_limit():
+    # above 5 / 2 the primes 3 and 5 step only from k = 1: h(1) = 3 divides
+    # h(2) = 3 and passes every step of p = 2, but not h(3) = 8 or h(5) = 20
+    table = period_table(5)
+    table.period[1] = 3
+    assert failing_prime_steps(table.period, 5) == [(1, 3), (1, 5)]
+    with pytest.raises(ClaimViolationError) as info:
+        wall_property_scan(5, table=table)
+    assert info.value.details == [(1, 3, 3, 8), (1, 5, 3, 20)]
+
+
+def test_wall_scan_checks_the_parity_of_h_3():
+    # h(3) = 1 divides every h(3k) and is a multiple of h(1): no prime step
+    # fails, only the parity test
+    table = period_table(400)
+    table.period[3] = 1
+    assert failing_prime_steps(table.period, 400) == []
+    with pytest.raises(ClaimViolationError, match=r"^h\(m\) parity violated at \[\(3, 1\)\]$"):
+        wall_property_scan(400, table=table)
+
+
+def test_wall_scan_raises_exactly_when_the_loop_finds_a_violation():
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(200):
+        table = period_table(400)
+        m = rng.randrange(1, 401)
+        if rng.random() < 0.5:
+            table.period[m] = rng.randrange(2, 2401, 2)
+        else:
+            table.period[m] *= rng.choice((2, 4) if m < 3 else (1, 2, 3))
+        violations = wall_pairs_by_loop(table.period, 400)[1]
+        outcomes.add(bool(violations))
+        if violations:
+            with pytest.raises(ClaimViolationError) as info:
+                wall_property_scan(400, table=table)
+            assert info.value.details == violations
+        else:
+            assert wall_property_scan(400, table=table).divisibility_checked == 2068
+    assert outcomes == {False, True}
+
+
+def test_wall_scan_copies_no_table(monkeypatch):
+    # slices of 256 entries cost about 1 KB each; a slice of the whole table
+    # (periods[3:] is 400 KB here) would break the bound
+    monkeypatch.setattr(analysis, "_WALL_BLOCK", 256)
+    table = period_table(10**5)
+    tracemalloc.start()
+    try:
+        wall_property_scan(10**5, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_scan_record_serialization():
