@@ -7,9 +7,11 @@ stored value, so 6m equality cannot alias.  Hard assertions raise
 ClaimViolationError with the offending evidence attached.  Each scan is one
 sequential pass; records reach the sink in ascending m, so identical
 arguments produce byte-identical reports.  The three record scans are each
-one row generator: its CSV rows stream into a sink's one write method,
-``write_rows`` (the CLI's path, which the filter report writers share), into
-a library ``emit`` as ScanRecords, or are never built.
+one row generator, whose event tests run only where the ratio reaches the
+best so far (or, in the ratio scan, a lift escalated).  Its CSV rows stream
+into a sink's one write method, ``write_rows`` (the CLI's path, which the
+filter report writers share; CSV is written in blocks of rows), into a
+library ``emit`` as ScanRecords, or are never built.
 
 The filter scan's ``rows=`` takes its FilterReports as they are made, and
 its summary then keeps only the counts and the disagreements; each answer
@@ -38,7 +40,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 from .errors import ClaimViolationError, DomainError
 from .fibmod import Method
@@ -97,6 +99,7 @@ _FLAGS_OF_TEXT = dict(zip(_ROW_FLAGS_TEXT, _ROW_FLAG_SETS))
 # a row's method text, indexed by the period table's method code
 _METHOD_TEXT = tuple(method.value for method in TABLE_METHODS)
 _WALL_BLOCK = 1 << 16  # the most multiples in one slice of the wall suite
+_BLOCK = 512  # the rows a CSV sink formats and writes at once
 
 
 @dataclass(frozen=True)
@@ -263,28 +266,32 @@ def _ratio_rows(limit: int, table: PeriodTable, wanted: bool):
     guard_count = 0
     for m in range(1, limit + 1):
         period = periods[m]
-        six_m = 6 * m
-        if period > six_m:
-            raise ClaimViolationError(
-                f"6m bound violated: h({m}) = {period} > {six_m}",
-                details=[(m, period)],
-            )
-        ratio_six = period == six_m
-        if ratio_six:
-            equality.append(m)
-        lifted = lifts[m] != 0
-        if lifted:
-            guard_count += 1
-        cross_new, cross_best = period * best_den, best_num * m
-        new_maximum = cross_new > cross_best
-        if new_maximum:
-            best_num, best_den = period, m
-            attained = [m]
-        elif cross_new == cross_best:
-            attained.append(m)
+        flags = 0  # 4 * RatioSix + 2 * NewMaximum + LiftGuardTriggered
+        # only a ratio at or above the best so far (never above 6) or a lift
+        # can fail a check, count or carry a flag
+        if period * best_den >= best_num * m or lifts[m]:
+            six_m = 6 * m
+            if period > six_m:
+                raise ClaimViolationError(
+                    f"6m bound violated: h({m}) = {period} > {six_m}",
+                    details=[(m, period)],
+                )
+            ratio_six = period == six_m
+            if ratio_six:
+                equality.append(m)
+            lifted = lifts[m] != 0
+            if lifted:
+                guard_count += 1
+            cross_new, cross_best = period * best_den, best_num * m
+            new_maximum = cross_new > cross_best
+            if new_maximum:
+                best_num, best_den = period, m
+                attained = [m]
+            elif cross_new == cross_best:
+                attained.append(m)
+            flags = 4 * ratio_six + 2 * new_maximum + lifted
         if wanted:
-            yield (m, period, period, m, _METHOD_TEXT[methods[m]],
-                   _ROW_FLAGS_TEXT[4 * ratio_six + 2 * new_maximum + lifted])
+            yield (m, period, period, m, _METHOD_TEXT[methods[m]], _ROW_FLAGS_TEXT[flags])
     expected = _expected_equality_set(limit)
     if equality != expected:
         raise ClaimViolationError(
@@ -319,15 +326,17 @@ def _irreducible_rows(limit: int, table: PeriodTable, wanted: bool):
                 continue
             kept[m] = 1
         period = periods[m]
-        if 4 * m - period <= 0:
-            raise ClaimViolationError(
-                f"irreducible-product bound violated: h({m}) = {period} >= {4 * m}",
-                details=[(m, period)],
-            )
         checked += 1
-        new_maximum = period * best_den > best_num * m
-        if new_maximum:
-            best_num, best_den, best_at = period, m, m
+        new_maximum = False
+        if period * best_den >= best_num * m:  # below the best (< 4), no check fails
+            if 4 * m - period <= 0:
+                raise ClaimViolationError(
+                    f"irreducible-product bound violated: h({m}) = {period} >= {4 * m}",
+                    details=[(m, period)],
+                )
+            new_maximum = period * best_den > best_num * m
+            if new_maximum:
+                best_num, best_den, best_at = period, m, m
         if wanted:
             yield (m, period, period, m, _METHOD_TEXT[methods[m]],
                    _ROW_FLAGS_TEXT[2 * new_maximum])
@@ -362,12 +371,14 @@ def _lucas_rows(limit: int, periods, wanted: bool):
                 lucas_five.append(_lucas_five_power(a))
             period = math.lcm(lucas_five[a - 1], periods[k])
         cross_new, cross_best = period * best_den, best_num * m
-        new_maximum = cross_new > cross_best
-        if new_maximum:
-            best_num, best_den = period, m
-            attained = [m]
-        elif cross_new == cross_best:
-            attained.append(m)
+        new_maximum = False
+        if cross_new >= cross_best:
+            new_maximum = cross_new > cross_best
+            if new_maximum:
+                best_num, best_den = period, m
+                attained = [m]
+            else:
+                attained.append(m)
         if wanted:
             yield (m, period, period, m, method, _ROW_FLAGS_TEXT[2 * new_maximum])
     if limit >= 6 and (best_num != 4 * best_den or attained != [6]):
@@ -482,17 +493,13 @@ def _wall_pairs(limit: int, div_limit: int, periods) -> int:
             details=parity_violations,
         )
 
-    # h(n) = 1 (n = 1) divides every h(m), so its pairs are only counted; any
-    # other n's multiples come in slices of at most _WALL_BLOCK, each tested
+    # each n's multiples come in slices of at most _WALL_BLOCK, each tested
     # in one map, and a slice that fails has its pairs listed one by one
     divisibility_checked = 0
     divisibility_violations = []
     end = div_limit + 1
     for n in range(1, div_limit // 2 + 1):
         hn = periods[n]
-        if hn == 1:
-            divisibility_checked += div_limit // n - 1
-            continue
         start, step = 2 * n, _WALL_BLOCK * n
         while start < end:
             stop = start + step
@@ -528,8 +535,17 @@ class CsvRecordSink:
 
     def write_rows(self, rows) -> None:
         """Writes an iterable of row tuples in the order of ``columns``, as a
-        scan's ``rows=`` hands them, row by row."""
-        self._file.writelines(map(self._line.__mod__, rows))
+        scan's ``rows=`` hands them, with one % and one write per _BLOCK rows.
+        When ``rows`` raises, the rows before it are written first."""
+        rows = iter(rows)
+        while True:
+            block = []
+            try:
+                block.extend(islice(rows, _BLOCK))
+            finally:
+                self._file.write(self._line * len(block) % tuple(chain.from_iterable(block)))
+            if len(block) < _BLOCK:
+                return
 
     def close(self) -> None:
         pass

@@ -285,9 +285,11 @@ def period_table(limit: int) -> PeriodTable:
 
     For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
     its class bound, whose primes come off the sieve; a prime power is
-    lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)).  A
-    limit below 1, or one whose tables cannot be allocated, is a DomainError,
-    and an h(m) past ``period``'s typecode, so above 6m, a ClaimViolationError.
+    lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)), and
+    only m with p^2 | m look for e.  A lift's escalations are added after
+    the pass to every m that p^e exactly divides.  A limit below 1, or one
+    whose tables cannot be allocated, is a DomainError, and an h(m) past
+    ``period``'s typecode, so above 6m, a ClaimViolationError.
     """
     if limit < 1:
         raise DomainError(f"table limit {limit} must be >= 1")
@@ -296,27 +298,33 @@ def period_table(limit: int) -> PeriodTable:
     period = _zeroed("I" if 6 * limit < 1 << 32 else "Q", limit + 1)
     escalations = _zeroed("B", limit + 1)
     method = _zeroed("B", limit + 1)
+    lifted = []  # (p^e, p, escalations) of each lift that divided p out
     period[1] = 1
     for m in range(2, limit + 1):
         p = spf[m]
         if not p:
             h = _prime_order(m, *_class_bound(m, sieve_factors))
             method[m] = 1  # PRIME_DIVISOR_SEARCH
+        elif (rest := m // p) % p:
+            h = math.lcm(period[p], period[rest])
         else:
-            rest = m // p
             while rest % p == 0:
                 rest //= p
             if rest > 1:
-                pe = m // rest
-                h = math.lcm(period[pe], period[rest])
-                escalations[m] = escalations[pe] + escalations[rest]
+                h = math.lcm(period[m // rest], period[rest])
             else:
-                h, escalations[m] = _lift(p, m, period[p])
+                h, count = _lift(p, m, period[p])
                 method[m] = 2  # PRIME_POWER_LIFT
+                if count:
+                    lifted.append((m, p, count))
         try:
             period[m] = h
         except OverflowError:
             raise ClaimViolationError(f"6m bound violated: h({m}) = {h} > {6 * m}",
                                       [(m, h)]) from None
+    for pe, p, count in lifted:
+        for m in range(pe, limit + 1, pe):
+            if m // pe % p:
+                escalations[m] += count
     return PeriodTable(spf, period, escalations, method)
 

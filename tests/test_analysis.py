@@ -244,8 +244,8 @@ def test_wall_scan_in_slices_of_3_reports_a_planted_violation_as_the_loop_does(
 
 @pytest.mark.parametrize("slices_of_3", [False, True])
 def test_wall_scan_slices_n_1_when_h_1_is_not_1(monkeypatch, slices_of_3):
-    # n = 1 goes unsliced only because h(1) = 1; a planted h(1) = 2 fails
-    # h(2) = 3, the one odd period, and only there
+    # n = 1's multiples are sliced as every other n's are; a planted
+    # h(1) = 2 fails h(2) = 3, the one odd period, and only there
     if slices_of_3:
         monkeypatch.setattr(analysis, "_WALL_BLOCK", 3)
     table = period_table(400)
@@ -650,6 +650,77 @@ def test_a_filter_writer_that_raises_part_way_leaves_the_earlier_rows(fmt):
         assert [d["prime"] for d in json.loads(got.getvalue())] == [3, 7, 47]
     else:
         assert len(got.getvalue().splitlines()) == 4
+
+
+class RowByRowCsvSink(CsvRecordSink):
+    """The CSV sink as it wrote before blocks, one % and one line a row,
+    kept as the oracle of the block writer."""
+
+    def write_rows(self, rows):
+        self._file.writelines(map(self._line.__mod__, rows))
+
+
+BLOCK = analysis._BLOCK
+BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def rows_then(rows, raises):
+    """``rows``, then a ClaimViolationError when ``raises``."""
+    yield from rows
+    if raises:
+        raise ClaimViolationError("stop")
+
+
+def written(write, raises):
+    """What ``write(fileobj)`` leaves in a new buffer, raising or not."""
+    buf = io.StringIO()
+    if raises:
+        with pytest.raises(ClaimViolationError, match="stop"):
+            write(buf)
+    else:
+        write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["clean", "raises"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_the_csv_sink_writes_in_blocks_what_it_wrote_row_by_row(n, raises):
+    # ratio rows carry every method and, up to 2B + 3, each RatioSix row
+    rows = []
+    ratio_scan(2 * BLOCK + 3, rows=rows.extend)
+    rows = rows[:n]
+    got, want = (written(lambda fh: sink(fh).write_rows(rows_then(rows, raises)), raises)
+                 for sink in (CsvRecordSink, RowByRowCsvSink))
+    assert got.count("\n") == n + 1
+    assert_same_lines(got, want)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["clean", "raises"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_the_filter_csv_writer_writes_in_blocks_what_it_wrote_row_by_row(
+        monkeypatch, n, raises):
+    reports = filter_agreement_scan(10**4).reports[:n]
+    assert len(reports) == n
+
+    def write(fh):
+        write_filter_reports_csv(rows_then(reports, raises), fh)
+
+    got = written(write, raises)
+    monkeypatch.setattr(analysis, "CsvRecordSink", RowByRowCsvSink)
+    assert got.count("\n") == n + 1
+    assert_same_lines(got, written(write, raises))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_scan_reports_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
+    def reports(name):
+        out = tmp_path / name
+        assert cli.main(["scan", "--limit", "2000", "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    want = reports("default")
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    assert reports("patched") == want
 
 
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])

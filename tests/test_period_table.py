@@ -205,6 +205,18 @@ def test_injected_lift_escalation_flags_every_multiple(wall_sun_sun_seven):
         assert (Flag.LIFT_GUARD_TRIGGERED in r.flags) == (h.lift_escalations == 1), r.m
 
 
+def test_a_lift_escalation_reaches_every_m_its_prime_power_exactly_divides(
+        wall_sun_sun_seven):
+    # the table adds 49's one escalation after its pass, to 49 k with 7 not
+    # dividing k; h(343), lifted from h(7) to 7^2 h(7), escalates nothing, so
+    # 343, 686, 1029 and 1372 count 0
+    table = period_table(1400)
+    for m in range(1, 1401):
+        assert table.escalations[m] == pisano_period(m).lift_escalations, m
+    assert [m for m in range(1, 1401) if table.escalations[m]] == [
+        m for m in range(49, 1401, 49) if m % 343]
+
+
 def test_period_json_flags_an_injected_lift_escalation(wall_sun_sun_seven, capsys):
     assert main(["period", "49", "--json"]) == 0
     assert capsys.readouterr().out == (
