@@ -312,19 +312,16 @@ def irreducible_product_scan(limit: int, emit=None, *,
 
 
 def _irreducible_rows(limit: int, table: PeriodTable, wanted: bool):
-    spf, periods, methods = table.spf, table.period, table.method
-    # kept[m]: every prime of m is odd and = +-2 (mod 5), read as
-    # p = 3, 7 (mod 10) for p = spf(m) and kept[m / p]
-    kept = bytearray(limit + 1)
-    kept[1] = 1
+    periods, methods = table.period, table.method
+    # kept[i]: every prime of m = 2i + 1 is = +-2 (mod 5), that is = 3, 7
+    # (mod 10), so the odd multiples of every other odd prime are zeroed
+    kept = bytearray(b"\1") * ((limit + 1) // 2)
+    for p in compress(range(3, limit + 1), map(operator.not_, islice(table.spf, 3, None))):
+        if p % 10 not in (3, 7):
+            kept[p // 2::p] = bytes((limit // p + 1) // 2)
     checked = 0
     best_num, best_den, best_at = 0, 1, 0
-    for m in range(1, limit + 1):
-        if m > 1:
-            p = spf[m] or m
-            if not (p % 10 in (3, 7) and kept[m // p]):
-                continue
-            kept[m] = 1
+    for m in compress(range(1, limit + 1, 2), kept):
         period = periods[m]
         checked += 1
         new_maximum = False

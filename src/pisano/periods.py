@@ -23,9 +23,11 @@ return too.  Only h_L(5^e) is found apart, by ``_lucas_five_power``.
 Point queries factor m and compute each prime power afresh, so they keep
 no state between calls.  Range scans use ``period_table(limit)`` instead:
 one smallest-prime-factor sieve supplies every class bound's primes and
-every m's prime powers, in one ascending pass, and the Lucas scan reads
-h_L(m) off the same table.  Every h(p), lift and h_L(5^e) is verified by
-the pair returning.
+the prime powers of each m in one ascending pass over the odd m and the
+powers of 2, and each other even m = 2^e k is lcm(h(2^e), h(k)) (D. D.
+Wall, Amer. Math. Monthly 67, 1960), stored by slices of odd k.  The Lucas
+scan reads h_L(m) off the same table.  Every h(p), lift and h_L(5^e) is
+verified by the pair returning.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 from .errors import ClaimViolationError, DomainError, PeriodOverflowError
 # Unused divisors and lucas_brute_period stay: bench/tracer.py wraps them here.
@@ -279,17 +282,25 @@ class PeriodTable:
     method: array        # 'B', an index into TABLE_METHODS
 
 
+# odd k per slice of the even m: a slice copies at most 32 KB of ``period``
+_SLICE_BLOCK = 1 << 12
+
+
 def period_table(limit: int) -> PeriodTable:
-    """h(m) for 1 <= m <= limit (limit >= 1) in one ascending pass over the
-    sieve.
+    """h(m) for 1 <= m <= limit (limit >= 1): one ascending pass over the
+    sieve's odd m and powers of 2, then the other even m by slices.
 
     For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
     its class bound, whose primes come off the sieve; a prime power is
     lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)), and
-    only m with p^2 | m look for e.  A lift's escalations are added after
+    only m with p^2 | m look for e.  The pass takes the powers of 2 in
+    their place, 2, 3, 4, 5, 7, 8, 9, ..., and after it every other even
+    m = 2^e k, k odd, is lcm(h(2^e), h(k)), stored for a block of at most
+    ``_SLICE_BLOCK`` odd k at a time.  A lift's escalations are added after
     the pass to every m that p^e exactly divides.  A limit below 1, or one
     whose tables cannot be allocated, is a DomainError, and an h(m) past
-    ``period``'s typecode, so above 6m, a ClaimViolationError.
+    ``period``'s typecode, so above 6m, a ClaimViolationError for the least
+    such m.
     """
     if limit < 1:
         raise DomainError(f"table limit {limit} must be >= 1")
@@ -300,31 +311,53 @@ def period_table(limit: int) -> PeriodTable:
     method = _zeroed("B", limit + 1)
     lifted = []  # (p^e, p, escalations) of each lift that divided p out
     period[1] = 1
-    for m in range(2, limit + 1):
-        p = spf[m]
-        if not p:
-            h = _prime_order(m, *_class_bound(m, sieve_factors))
-            method[m] = 1  # PRIME_DIVISOR_SEARCH
-        elif (rest := m // p) % p:
-            h = math.lcm(period[p], period[rest])
-        else:
-            while rest % p == 0:
-                rest //= p
-            if rest > 1:
-                h = math.lcm(period[m // rest], period[rest])
+    powers = [1 << e for e in range(1, limit.bit_length())]  # each 2^e <= limit
+    for pe in powers:  # 2^e, then the odd m up to 2^(e+1): every m in turn
+        for m in chain((pe,), range(pe + 1, min(2 * pe, limit + 1), 2)):
+            p = spf[m]
+            if not p:
+                h = _prime_order(m, *_class_bound(m, sieve_factors))
+                method[m] = 1  # PRIME_DIVISOR_SEARCH
+            elif (rest := m // p) % p:
+                h = math.lcm(period[p], period[rest])
             else:
-                h, count = _lift(p, m, period[p])
-                method[m] = 2  # PRIME_POWER_LIFT
-                if count:
-                    lifted.append((m, p, count))
-        try:
-            period[m] = h
-        except OverflowError:
-            raise ClaimViolationError(f"6m bound violated: h({m}) = {h} > {6 * m}",
-                                      [(m, h)]) from None
+                while rest % p == 0:
+                    rest //= p
+                if rest > 1:
+                    h = math.lcm(period[m // rest], period[rest])
+                else:
+                    h, count = _lift(p, m, period[p])
+                    method[m] = 2  # PRIME_POWER_LIFT
+                    if count:
+                        lifted.append((m, p, count))
+            try:
+                period[m] = h
+            except OverflowError:
+                raise _overflow(period, m, h) from None
+    for pe in powers:
+        stop = limit // pe + 1
+        for k in range(3, stop, 2 * _SLICE_BLOCK):
+            end = min(k + 2 * _SLICE_BLOCK, stop)
+            try:
+                period[k * pe:end * pe:2 * pe] = array(
+                    period.typecode, map(math.lcm, repeat(period[pe]), period[k:end:2]))
+            except OverflowError:  # at some even m of this slice
+                raise _overflow(period, limit + 1, None) from None
     for pe, p, count in lifted:
         for m in range(pe, limit + 1, pe):
             if m // pe % p:
                 escalations[m] += count
     return PeriodTable(spf, period, escalations, method)
 
+
+def _overflow(period, m, h) -> ClaimViolationError:
+    """The 6m error for the least m' <= m whose h(m') does not fit
+    ``period``, every odd m' < m and every 2^e < m being stored: each even
+    m' < m, 2^e k with k odd, is recomputed as lcm(h(2^e), h(k)), and
+    h(m) = h is the one that fails when none of them does."""
+    for n in range(2, m, 2):
+        v = math.lcm(period[n & -n], period[n // (n & -n)])
+        if v >> 8 * period.itemsize:
+            m, h = n, v
+            break
+    return ClaimViolationError(f"6m bound violated: h({m}) = {h} > {6 * m}", [(m, h)])

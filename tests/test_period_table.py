@@ -2,8 +2,11 @@
 per-m point path (pisano_period / lucas_period), which stays the reference,
 and against the brute-force oracle."""
 
+import functools
+import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,13 @@ from pisano.analysis import (
 from pisano.cli import main
 from pisano.errors import ClaimViolationError, DomainError
 from pisano.fibmod import Method, brute_period, lucas_brute_period
-from pisano.numth import MODULUS_MAX, factorize, primes_up_to
+from pisano.numth import (
+    MODULUS_MAX,
+    _sieve_factors,
+    factorize,
+    primes_up_to,
+    smallest_prime_factors,
+)
 from pisano.periods import (
     TABLE_METHODS,
     _class_bound,
@@ -52,6 +61,78 @@ def lucas_scan_periods(limit):
     lucas_ratio_scan(limit, rows=rows.extend)
     assert [row[0] for row in rows] == list(range(1, limit + 1))
     return {row[0]: row[1] for row in rows}
+
+
+def reference_table(limit):
+    """(period, escalations, method) lists for 0 <= m <= limit from one
+    ascending per-m pass over the sieve, every even m included: the loop
+    period_table ran before it filled the even m by slices."""
+    spf = smallest_prime_factors(limit)
+    sieve_factors = functools.partial(_sieve_factors, spf)
+    period, escalations, method = ([0] * (limit + 1) for _ in range(3))
+    lifted = []
+    period[1] = 1
+    for m in range(2, limit + 1):
+        p = spf[m]
+        if not p:
+            h = periods._prime_order(m, *_class_bound(m, sieve_factors))
+            method[m] = 1
+        elif (rest := m // p) % p:
+            h = math.lcm(period[p], period[rest])
+        else:
+            while rest % p == 0:
+                rest //= p
+            if rest > 1:
+                h = math.lcm(period[m // rest], period[rest])
+            else:
+                h, count = periods._lift(p, m, period[p])
+                method[m] = 2
+                if count:
+                    lifted.append((m, p, count))
+        period[m] = h
+    for pe, p, count in lifted:
+        for m in range(pe, limit + 1, pe):
+            if m // pe % p:
+                escalations[m] += count
+    return period, escalations, method
+
+
+def table_lists(table):
+    return list(table.period), list(table.escalations), list(table.method)
+
+
+# every limit from 1 to 40, 2^e - 1, 2^e and 2^e + 1 up to 2^17, where a
+# power of 2 and its first slice enter the table, and 10^5
+REFERENCE_LIMITS = [*range(1, 41), *(2**e + d for e in range(6, 18) for d in (-1, 0, 1)),
+                    10**5]
+
+
+def test_period_table_matches_the_per_m_reference():
+    for limit in REFERENCE_LIMITS:
+        assert table_lists(period_table(limit)) == reference_table(limit), limit
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_period_table_does_not_depend_on_the_slice_block(monkeypatch, block):
+    monkeypatch.setattr(periods, "_SLICE_BLOCK", block)
+    for limit in [*range(1, 41), 2**10 - 1, 2**10, 2**10 + 1, 5000]:
+        assert table_lists(period_table(limit)) == reference_table(limit), limit
+
+
+def test_period_table_copies_no_table():
+    # a slice of 2^12 odd k costs 16 KB, and the lcm array it makes another
+    # 16 KB; a slice of the odd half (period[1::2] is 200 KB here) would
+    # break the bound
+    period_table(100)
+    tracemalloc.start()
+    try:
+        table = period_table(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.itemsize * len(a) for a in (table.spf, table.period,
+                                               table.escalations, table.method))
+    assert peak - arrays < 64 * 1024
 
 
 def test_period_table_matches_point_path():
@@ -142,6 +223,31 @@ def test_a_period_past_the_table_typecode_is_a_claim_violation(monkeypatch, caps
         "", f"error: 6m bound violated: h({m}) = {1 << 32} > {6 * m}\n")
 
 
+# h(11) = 2^31 fits the 'I' table, but h(22) = 3 * 2^31 does not.  At limit
+# 100 the pass over the odd m fails first, at h(55) = 5 * 2^31, and at limit
+# 22 the even slices do, at the table's last m: both must report the least
+# m.  A planted h(13) = 2^32 fails below 22; a planted h(3) = 2^31 fails the
+# pass at the lift h(9) = 3 * 2^31, after h(6) = 3 * 2^31; and h(2) = 2^32
+# fails before the lift of 4 can.
+@pytest.mark.parametrize("planted,limit,m,h", [
+    ({11: 1 << 31}, 100, 22, 3 << 31),
+    ({11: 1 << 31}, 22, 22, 3 << 31),
+    ({11: 1 << 31, 13: 1 << 32}, 100, 13, 1 << 32),
+    ({3: 1 << 31}, 100, 6, 3 << 31),
+    ({2: 1 << 32}, 100, 2, 1 << 32),
+], ids=["h11-odd-pass", "h11-slices", "h11-h13", "h3", "h2"])
+@pytest.mark.parametrize("block", [1, 3, 1 << 12])
+def test_an_overflow_is_reported_at_the_least_m(monkeypatch, planted, limit, m, h, block):
+    real = periods._prime_order
+    monkeypatch.setattr(periods, "_prime_order",
+                        lambda p, *rest: planted[p] if p in planted else real(p, *rest))
+    monkeypatch.setattr(periods, "_SLICE_BLOCK", block)
+    with pytest.raises(ClaimViolationError) as info:
+        period_table(limit)
+    assert str(info.value) == f"6m bound violated: h({m}) = {h} > {6 * m}"
+    assert info.value.details == [(m, h)]
+
+
 def test_ratio_scan_records_match_point_path():
     records = []
     summary = ratio_scan(LIMIT, records.append)
@@ -215,6 +321,20 @@ def test_a_lift_escalation_reaches_every_m_its_prime_power_exactly_divides(
         assert table.escalations[m] == pisano_period(m).lift_escalations, m
     assert [m for m in range(1, 1401) if table.escalations[m]] == [
         m for m in range(49, 1401, 49) if m % 343]
+
+
+def test_a_lift_escalation_of_four_reaches_every_m_four_exactly_divides(monkeypatch):
+    # mod 4, (0, 1) seems to return at h(2) = 3, so the lift from 2 * 3
+    # divides one factor of 2 out; 8's lift, from 4 * 3, escalates nothing
+    real = periods._fib_pair_ints
+    monkeypatch.setattr(periods, "_fib_pair_ints",
+                        lambda n, m: (0, 1) if m == 4 and n % 3 == 0 else real(n, m))
+    table = period_table(1000)
+    assert table_lists(table) == reference_table(1000)
+    assert table.period[4] == 3
+    assert [m for m in range(1, 1001) if table.escalations[m]] == list(range(4, 1001, 8))
+    for m in range(1, 201):
+        assert table.escalations[m] == pisano_period(m).lift_escalations, m
 
 
 def test_period_json_flags_an_injected_lift_escalation(wall_sun_sun_seven, capsys):
