@@ -5,9 +5,9 @@ prime as the order of the pair (0, 1) by dividing primes out of its class
 bound (p - 1 or 2p + 2), find h(p^e) the same way from p^(e-1) h(p), and
 take the lcm.  The Lucas period, the order of (2, 1), is h(p^e) at every
 prime power with p != 5, since (2, 1) and (1, 3) have determinant 5 and
-span all pairs mod p^e, and 4 * 5^(e-1) at 5^e; it composes by lcm too.
-A brute-force oracle and range scans over the global bounds (h(m) <= 6m and
-friends) keep the fast paths honest.
+span all pairs mod p^e, and 4 * 5^(e-1) at 5^e, so h_L(m) is h(m), or
+lcm(4, h(m/5)) when 5 | m.  A brute-force oracle and range scans over the
+global bounds (h(m) <= 6m and friends) keep the fast paths honest.
 """
 
 from .errors import (

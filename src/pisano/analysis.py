@@ -20,10 +20,11 @@ is picked from h(p) by divisibility and confirmed by one Lucas ladder
 
 No scan factors m: all five read h(m) from one sieve-built
 ``periods.period_table(limit)``, in which each h(p) and each lift is
-computed once and verified.  The Lucas scan recomputes only the multiples
-of 5, and the filter scan reads each class bound's factorization off the
-same sieve.  Each scan takes that table as ``table=`` (``pisano scan
---suite all`` builds one and hands it to every suite) or builds its own.
+computed once and verified.  The Lucas scan reads h_L(m) off it as h(m),
+or as lcm(4, h(m/5)) when 5 | m, and the filter scan reads each class
+bound's factorization off the same sieve.  Each scan takes that table as
+``table=`` (``pisano scan --suite all`` builds one and hands it to every
+suite) or builds its own.
 The wall scan tests h(n) | h(m) by prime steps, h(m/p) | h(m) for each
 prime p | m, in table slices of at most 2^16 entries, and counts the pairs
 n | m by formula; only a failed test walks the pairs n by n to list every
@@ -49,7 +50,7 @@ from .periods import (
     TABLE_METHODS,
     PeriodTable,
     _class_bound,
-    _lucas_five_power,
+    _lucas_order,
     period_table,
 )
 from .theorems import FilterReport, _filter_report
@@ -350,23 +351,16 @@ def lucas_ratio_scan(limit: int, emit=None, *, table: PeriodTable | None = None,
 
 
 def _lucas_rows(limit: int, periods, wanted: bool):
-    # h_L(m) = h(m) when 5 does not divide m, and lcm(h_L(5^a), h(k)) for
-    # m = 5^a k with 5 not dividing k; lucas_five[a - 1] holds h_L(5^a).
-    # Rows keep the method lucas_period reports.
-    lucas_five: list[int] = []
-    method = Method.PRIME_DIVISOR_SEARCH.value
+    # h_L(m) is h(m), or lcm(4, h(m/5)) when 5 | m, proved at each 5^a <= limit
+    five = 5
+    while five <= limit:
+        _lucas_order(five, periods[five // 5])
+        five *= 5
+    method = Method.PRIME_DIVISOR_SEARCH.value  # the method lucas_period reports
     best_num, best_den = 0, 1
     attained: list[int] = []
     for m in range(1, limit + 1):
-        if m % 5:
-            period = periods[m]
-        else:
-            k, a = m // 5, 1
-            while k % 5 == 0:
-                k, a = k // 5, a + 1
-            if a > len(lucas_five):
-                lucas_five.append(_lucas_five_power(a))
-            period = math.lcm(lucas_five[a - 1], periods[k])
+        period = periods[m] if m % 5 else math.lcm(4, periods[m // 5])
         cross_new, cross_best = period * best_den, best_num * m
         new_maximum = False
         if cross_new >= cross_best:

@@ -15,10 +15,11 @@ doubling of (0, 1) checks each result.
 The Lucas period h_L(m), the order of (2, 1), needs no search of its own.
 The step T is linear and commutes with T^n, and (2, 1) and T(2, 1) = (1, 3)
 have determinant 5, so for p != 5 they span (Z/p^e)^2: T^n fixes (2, 1)
-exactly when T^n = I.  T^n = I exactly when T^n fixes (0, 1), because then
-F_(n-1) = F_(n+1) - F_n = 1.  Hence h_L(p^e) = h(p^e) for every p != 5,
-2 and prime powers included, and the verified (0, 1) return is the (2, 1)
-return too.  Only h_L(5^e) is found apart, by ``_lucas_five_power``.
+exactly when T^n = I, that is when T^n fixes (0, 1), as then
+F_(n-1) = F_(n+1) - F_n = 1.  So h_L(p^e) = h(p^e) for p != 5, and the
+verified (0, 1) return is the (2, 1) return too.  With Vinson's h_L(5^a) =
+4 * 5^(a-1) (Fibonacci Quarterly 1963), h_L(m) = lcm(4, h(m/5)) when
+5 | m; ``_lucas_order`` proves that rule where it is used.
 
 Point queries factor m and compute each prime power afresh, so they keep
 no state between calls.  Range scans use ``period_table(limit)`` instead:
@@ -26,8 +27,8 @@ one smallest-prime-factor sieve supplies every class bound's primes and
 the prime powers of each m in one ascending pass over the odd m and the
 powers of 2, and each other even m = 2^e k is lcm(h(2^e), h(k)) (D. D.
 Wall, Amer. Math. Monthly 67, 1960), stored by slices of odd k.  The Lucas
-scan reads h_L(m) off the same table.  Every h(p), lift and h_L(5^e) is
-verified by the pair returning.
+scan reads h_L(m) off the same table.  Every h(p) and lift is verified by
+the pair returning.
 """
 
 from __future__ import annotations
@@ -181,10 +182,15 @@ def _prime_order(p: int, bound: int, primes) -> int:
     return n
 
 
-def _lucas_five_power(e: int) -> int:
-    """h_L(5^e) = 4 * 5^(e-1) (Vinson, Fibonacci Quarterly 1963), checked
-    as a return time of (2, 1) mod 5^e and proved least."""
-    return _pair_order((2, 1), 5**e, 4 * 5**(e - 1), (2, 5))
+def _lucas_order(m: int, h: int, primes=(2, 5)) -> int:
+    """lcm(4, h), for 5 | m and h = h(m/5), proved h_L(m): a return time of
+    (2, 1) mod m that divides prod(primes)^64, from which none of ``primes``
+    divides out; else a ClaimViolationError, details (m, order or None, lcm)."""
+    n = lcm(4, h)
+    order = _pair_order((2, 1), m, n, primes) if pow(math.prod(primes), 64, n) == 0 else None
+    if order != n:
+        raise ClaimViolationError(f"h_L({m}) = {order}, not lcm(4, h(m/5)) = {n}", [(m, order, n)])
+    return n
 
 
 def _lift(p: int, pe: int, period: int) -> tuple[int, int]:
@@ -226,20 +232,23 @@ def prime_power_period(p: int, e: int) -> PeriodResult:
 def _period(m: int, pairs, lucas: bool = False) -> PeriodResult:
     """h(m), or h_L(m) with ``lucas``, from the (prime, exponent) pairs of
     m: each h(p) divided down from its class bound, lifted to h(p^e) for
-    e > 1, and composed by lcm; m = 1 has no pairs.  With ``lucas``, 5^e
-    gives h_L(5^e) and every other p^e its h(p^e)."""
-    period = 1
-    escalations = 0
+    e > 1, and composed by lcm; m = 1 has no pairs.  For 5 | m, h_L(m) is
+    lcm(4, h(m/5)) from m/5's pairs, proved by ``_lucas_order`` against 2,
+    5, each p and the primes of its class bound."""
+    if five := lucas and m % 5 == 0:  # m/5's pairs: one 5 fewer
+        pairs = [(p, e - (p == 5)) for p, e in pairs if (p, e) != (5, 1)]
+    period, escalations, primes = 1, 0, {2, 5}
     for p, e in pairs:
-        if lucas and p == 5:
-            value = _lucas_five_power(e)
-        else:
-            # factorize is looked up here at call time, where bench/tracer.py counts it
-            value = _prime_order(p, *_class_bound(p, lambda n: dict(factorize(n))))
-            if e > 1:
-                value, esc = _lift(p, p**e, value)
-                escalations += esc
+        # factorize is looked up here at call time, where bench/tracer.py counts it
+        bound, factors = _class_bound(p, lambda n: dict(factorize(n)))
+        primes.update(factors, (p,))
+        value = _prime_order(p, bound, factors)
+        if e > 1:
+            value, esc = _lift(p, p**e, value)
+            escalations += esc
         period = lcm(period, value)
+    if five:
+        period = _lucas_order(m, period, primes)
     if lucas or (len(pairs) == 1 and pairs[0][1] == 1):
         method = Method.PRIME_DIVISOR_SEARCH
     elif len(pairs) == 1:
@@ -256,8 +265,8 @@ def pisano_period(m: int) -> PeriodResult:
 
 
 def lucas_period(m: int) -> PeriodResult:
-    """Least d with (L_d, L_{d+1}) = (2, 1) mod m: the lcm of h_L(p^e)
-    over p^e || m."""
+    """Least d with (L_d, L_{d+1}) = (2, 1) mod m: h(m) when 5 does not
+    divide m, else lcm(4, h(m/5)), proved the order of (2, 1) mod m."""
     _check_modulus(m)
     return _period(m, _factor_pairs(m), lucas=True)
 

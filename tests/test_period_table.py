@@ -155,26 +155,33 @@ def test_period_tables_match_brute_oracle():
         assert lucas[m] == lucas_brute_period(m).period, m
 
 
-def test_lucas_scan_checks_each_five_power_once(monkeypatch):
-    # h_L(5^a) is checked once, at m = 5^a, and reused for every 5^a k after
-    # it; lucas_period, the reference, looks the helper up in periods
-    checked = []
-
-    def spy(e):
-        checked.append(e)
-        return periods._lucas_five_power(e)
-
-    monkeypatch.setattr(analysis, "_lucas_five_power", spy)
+def test_lucas_scan_rows_match_lucas_period_around_powers_of_five():
     lucas = lucas_scan_periods(5**7)
-    assert checked == list(range(1, 8))
     for m in range(5, 5**7 + 1, 5):
         assert lucas[m] == lucas_period(m).period, m
     for a in (1, 2, 3):
-        for limit, powers in ((5**a - 1, a - 1), (5**a, a)):
-            checked.clear()
+        for limit in (5**a - 1, 5**a, 5**a + 1):
             lucas = lucas_scan_periods(limit)
-            assert checked == list(range(1, powers + 1)), limit
             assert lucas == {m: lucas_period(m).period for m in range(1, limit + 1)}
+
+
+@pytest.mark.parametrize("at, value, details", [
+    (25, 20, None),  # lcm(4, 20) = 20: (2, 1) does not return mod 125
+    (5, 100, [(25, 20, 100)]),  # a return mod 25, but h_L(25) = 20
+], ids=["not-a-return", "not-the-least"])
+def test_lucas_scan_proves_each_five_power(at, value, details):
+    # h_L(5^a) = lcm(4, h(5^(a-1))) is proved at each 5^a <= limit, so a
+    # planted h(5^(a-1)) fails the scan from limit 5^a on, and is not read
+    # below it
+    for limit in (5 * at, 5 * at + 1, 5**6):
+        table = period_table(limit)
+        table.period[at] = value
+        with pytest.raises(ClaimViolationError) as error:
+            lucas_ratio_scan(limit, table=table)
+        assert details is None or error.value.details == details
+    table = period_table(5 * at - 1)
+    table.period[at] = value
+    assert lucas_ratio_scan(5 * at - 1, table=table) == lucas_ratio_scan(5 * at - 1)
 
 
 def test_period_table_primes_match_the_pair_order_recipe():

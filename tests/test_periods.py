@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pisano import periods
-from pisano.errors import DomainError, PeriodOverflowError
+from pisano.errors import ClaimViolationError, DomainError, PeriodOverflowError
 from pisano.fibmod import Method, brute_period, fib_pair, lucas_brute_period, lucas_pair
 from pisano.numth import MODULUS_MAX, U64_MAX, factorize, is_prime, primes_up_to
 from pisano.periods import (
@@ -301,6 +301,43 @@ def test_lucas_period_cross_check_with_fibonacci_period():
             4 * 5 ** (a - 1), pisano_period(k).period)
         assert lucas_period(m).period == expected, m
     assert lucas_period(55).period == pisano_period(55).period == 20
+
+
+def assert_lucas_least(m):
+    """(2, 1) returns mod m at h_L(m) and at no h_L(m) / q, q prime."""
+    h = lucas_period(m).period
+    assert lucas_pair(h, m).as_tuple() == (2, 1), m
+    for q in factorize(h).primes():
+        assert lucas_pair(h // q, m).as_tuple() != (2, 1), (m, q)
+
+
+@pytest.mark.parametrize("m", [5, 10, 25, 5**26, 5**27, 2 * 5**26, 5 * (MODULUS_MAX // 5)])
+def test_lucas_period_is_least_at_multiples_of_five(m):
+    assert_lucas_least(m)
+
+
+def test_lucas_period_is_least_at_seeded_multiples_of_five():
+    rng = random.Random(2105)
+    for _ in range(300):
+        assert_lucas_least(5 * rng.randrange(1, MODULUS_MAX // 5 + 1))
+
+
+@pytest.mark.parametrize("num, den, error", [
+    (1, 2, "does not return after 4 steps mod 15"),  # h_L(3) = 8
+    (5, 1, r"h_L\(15\) = 8, not lcm\(4, h\(m/5\)\) = 40"),  # 5 divides out
+    (3, 1, r"h_L\(15\) = 8, not lcm\(4, h\(m/5\)\) = 24"),  # 3 | 15 divides out
+    (7, 1, r"h_L\(15\) = None, not lcm\(4, h\(m/5\)\) = 56"),  # not 2, 3 or 5
+], ids=["not-a-return", "not-the-least", "p-divides-out", "a-prime-past-the-bounds"])
+def test_a_wrong_h_of_m_over_five_fails_the_lucas_check(monkeypatch, num, den, error):
+    # h_L(15) = lcm(4, h(3)) is proved the order of (2, 1) mod 15 against
+    # 2, 5, 3 and the primes of its class bound 8, so a wrong h(3) is caught
+    real = periods._prime_order
+    monkeypatch.setattr(periods, "_prime_order", lambda p, bound, primes: (
+        real(p, bound, primes) * num // den if p == 3 else real(p, bound, primes)))
+    assert pisano_period(3).period == 8 * num // den
+    with pytest.raises(ClaimViolationError, match=error):
+        lucas_period(15)
+    assert lucas_period(35).period == 16  # h(7) = 16 is not patched
 
 
 def test_lucas_period_divides_pisano_period():

@@ -16,7 +16,6 @@ from pisano.analysis import (
     LucasScanSummary,
     RatioScanSummary,
     _expected_equality_set,
-    _lucas_five_power,
 )
 from pisano.errors import ClaimViolationError
 from pisano.fibmod import Method
@@ -91,20 +90,11 @@ def oracle_irreducible_rows(limit, table, wanted):
 
 
 def oracle_lucas_rows(limit, periods, wanted):
-    lucas_five = []
     method = Method.PRIME_DIVISOR_SEARCH.value
     best_num, best_den = 0, 1
     attained = []
     for m in range(1, limit + 1):
-        if m % 5:
-            period = periods[m]
-        else:
-            k, a = m // 5, 1
-            while k % 5 == 0:
-                k, a = k // 5, a + 1
-            if a > len(lucas_five):
-                lucas_five.append(_lucas_five_power(a))
-            period = math.lcm(lucas_five[a - 1], periods[k])
+        period = periods[m] if m % 5 else math.lcm(4, periods[m // 5])
         cross_new, cross_best = period * best_den, best_num * m
         new_maximum = cross_new > cross_best
         if new_maximum:
