@@ -86,9 +86,8 @@ def _check_modulus(m: int) -> None:
 
 
 def _fib_pair_ints(n: int, m: int) -> tuple[int, int]:
-    """(F_n mod m, F_{n+1} mod m) by fast doubling:
-    F_2k = F_k (2 F_{k+1} - F_k),  F_2k+1 = F_k^2 + F_{k+1}^2.
-    """
+    """(F_n mod m, F_{n+1} mod m) by fast doubling, F_2k = F_k (2 F_{k+1} -
+    F_k) and F_2k+1 = F_k^2 + F_{k+1}^2; a 1-bit leaves F_2k+2 below 2m."""
     if n <= 0:
         return 0, 1 % m
     a = b = 1 % m  # (F_1, F_2): the leading bit of n
@@ -96,10 +95,10 @@ def _fib_pair_ints(n: int, m: int) -> tuple[int, int]:
         c = a * (b + b - a) % m
         d = (a * a + b * b) % m
         if bit == "1":
-            a, b = d, (c + d) % m
+            a, b = d, c + d
         else:
             a, b = c, d
-    return a, b
+    return a, b % m
 
 
 def fib_pair(n: int, m: int) -> ResiduePair:

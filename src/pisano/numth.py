@@ -88,6 +88,17 @@ def _sieve_factors(spf, n: int) -> dict[int, int]:
     return out
 
 
+def _sieve_primes(spf, n: int) -> list[int]:
+    """The keys of ``_sieve_factors(spf, n)``, walked without a dict."""
+    out = []
+    while n > 1:
+        out.append(p := spf[n] or n)
+        n //= p
+        while n % p == 0:
+            n //= p
+    return out
+
+
 def _lcm_up_to(bound: int) -> int:
     """lcm(1, ..., bound): the product of the largest power <= bound of each
     prime <= bound, the primes read off the sieve."""
@@ -537,11 +548,9 @@ def divisors(f: Factorization) -> DivisorSet:
     """Complete sorted divisor list of the factored integer."""
     divs = [1]
     for p, e in f.factors:
-        pk = 1
-        block = list(divs)
-        for _ in range(e):
-            pk *= p
-            divs.extend(d * pk for d in block)
+        block = divs[:]
+        for k in range(1, e + 1):
+            divs += map((p**k).__mul__, block)
     divs.sort()
     return DivisorSet(tuple(divs), f.value())
 

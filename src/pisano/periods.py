@@ -23,18 +23,17 @@ verified (0, 1) return is the (2, 1) return too.  With Vinson's h_L(5^a) =
 
 Point queries factor m and compute each prime power afresh, so they keep
 no state between calls.  Range scans use ``period_table(limit)`` instead:
-one smallest-prime-factor sieve supplies every class bound's primes and
-the prime powers of each m in one ascending pass over the odd m and the
-powers of 2, and each other even m = 2^e k is lcm(h(2^e), h(k)) (D. D.
-Wall, Amer. Math. Monthly 67, 1960), stored by slices of odd k.  The Lucas
-scan reads h_L(m) off the same table.  Every h(p) and lift is verified by
-the pair returning.
+one smallest-prime-factor sieve gives the prime powers of each m, and each
+h(p) the primes of p - 1 or (p + 1)/2 as a list, in one ascending pass over
+the odd m and the powers of 2; each other even m = 2^e k is lcm(h(2^e),
+h(k)) (D. D. Wall, Amer. Math. Monthly 67, 1960), stored by slices of odd
+k.  The Lucas scan reads h_L(m) off the same table.  Every h(p) and lift
+is verified by the pair returning.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -54,7 +53,7 @@ from .numth import (  # noqa: F401
     U64_MAX,
     _factor_pairs,
     _lucas_ladder,
-    _sieve_factors,
+    _sieve_primes,
     _zeroed,
     divisors,
     factorize,
@@ -102,10 +101,9 @@ def classify_prime(p: int) -> PrimeClass:
 
 
 def _class_bound(p: int, factors_of=None) -> tuple[int, dict[int, int]]:
-    """(prime p's class bound 3, 20, p - 1 or 2p + 2, the bound's
-    {prime: exponent}, primes ascending, so iterating it gives the primes);
-    ``factors_of(n)`` gives a new such dict for n, and without it the dict
-    is empty for p other than 2 and 5."""
+    """(prime p's class bound 3, 20, p - 1 or 2p + 2, and its {prime:
+    exponent}, primes ascending), ``factors_of(n)`` giving a new such dict
+    for n; without it the dict is empty for p other than 2 and 5."""
     if p == 2:
         return 3, {3: 1}
     if p == 5:
@@ -152,8 +150,8 @@ def _pair_order(start: tuple[int, int], m: int, multiple: int, primes) -> int:
 
 
 def _prime_order(p: int, bound: int, primes) -> int:
-    """h(p) for a prime p, divided down from its class bound ``bound`` by
-    the bound's primes ``primes``, as ``_class_bound`` gives them.
+    """h(p) for a prime p, divided down from its class bound ``bound`` by its
+    primes ``primes``, ascending: ``_class_bound``'s, or a list off the sieve.
 
     h(5) = 20 comes from ``_pair_order``: x^2 - x - 1 has a double root
     mod 5, and L_4 = 7 = 2 (mod 5) while h(5) = 20.  Every other p divides
@@ -300,21 +298,20 @@ def period_table(limit: int) -> PeriodTable:
     sieve's odd m and powers of 2, then the other even m by slices.
 
     For p = spf(m) and m = p^e * rest: a prime is the order of (0, 1) from
-    its class bound, whose primes come off the sieve; a prime power is
-    lifted from p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)), and
-    only m with p^2 | m look for e.  The pass takes the powers of 2 in
-    their place, 2, 3, 4, 5, 7, 8, 9, ..., and after it every other even
-    m = 2^e k, k odd, is lcm(h(2^e), h(k)), stored for a block of at most
-    ``_SLICE_BLOCK`` odd k at a time.  A lift's escalations are added after
-    the pass to every m that p^e exactly divides.  A limit below 1, or one
-    whose tables cannot be allocated, is a DomainError, and an h(m) past
-    ``period``'s typecode, so above 6m, a ClaimViolationError for the least
-    such m.
+    its class bound, by the primes of p - 1 or (p + 1)/2 walked off the
+    sieve (2 and 5 take ``_class_bound``'s); a prime power is lifted from
+    p^(e-1) h(p); anything else is lcm(h(p^e), h(rest)), and only m with
+    p^2 | m look for e.  The pass takes the powers of 2 in their place, 2,
+    3, 4, 5, 7, 8, 9, ..., and after it every other even m = 2^e k, k odd,
+    is lcm(h(2^e), h(k)), stored for a block of at most ``_SLICE_BLOCK``
+    odd k at a time.  A lift's escalations are added after the pass to
+    every m that p^e exactly divides.  A limit below 1, or one whose tables
+    cannot be allocated, is a DomainError, and an h(m) past ``period``'s
+    typecode, so above 6m, a ClaimViolationError for the least such m.
     """
     if limit < 1:
         raise DomainError(f"table limit {limit} must be >= 1")
     spf = smallest_prime_factors(limit)
-    sieve_factors = functools.partial(_sieve_factors, spf)
     period = _zeroed("I" if 6 * limit < 1 << 32 else "Q", limit + 1)
     escalations = _zeroed("B", limit + 1)
     method = _zeroed("B", limit + 1)
@@ -325,7 +322,12 @@ def period_table(limit: int) -> PeriodTable:
         for m in chain((pe,), range(pe + 1, min(2 * pe, limit + 1), 2)):
             p = spf[m]
             if not p:
-                h = _prime_order(m, *_class_bound(m, sieve_factors))
+                if m % 5 in (1, 4):
+                    h = _prime_order(m, m - 1, _sieve_primes(spf, m - 1))
+                elif m in (2, 5):
+                    h = _prime_order(m, *_class_bound(m))
+                else:  # (m + 1)/2 holds the odd primes of 2m + 2, and 2 never divides out
+                    h = _prime_order(m, 2 * m + 2, _sieve_primes(spf, (m + 1) // 2))
                 method[m] = 1  # PRIME_DIVISOR_SEARCH
             elif (rest := m // p) % p:
                 h = math.lcm(period[p], period[rest])

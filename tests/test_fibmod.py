@@ -8,6 +8,7 @@ from pisano.fibmod import (
     Method,
     PeriodResult,
     ResiduePair,
+    _fib_pair_ints,
     brute_period,
     fib_exact,
     fib_pair,
@@ -15,7 +16,7 @@ from pisano.fibmod import (
     lucas_pair,
     oracle_cap,
 )
-from pisano.numth import _lucas_ladder
+from pisano.numth import MODULUS_MAX, _lucas_ladder
 
 
 # oracles
@@ -71,6 +72,27 @@ def test_fib_pair_small_exhaustive():
             pair = fib_pair(n, m)
             assert (pair.lo, pair.hi) == iter_fib(n, m), (n, m)
             assert pair.modulus == m
+
+
+def every_bit_reduced(n, m):
+    # fast doubling that reduces each product and sum at every bit
+    a, b = 0, 1 % m
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a) % m, (a * a + b * b) % m
+        if bit == "1":
+            a, b = b, (a + b) % m
+    return a, b
+
+
+def test_fib_pair_ints_returns_reduced_residues():
+    # a 1-bit leaves F_2k+2 below 2m, not below m; the pair returned must
+    # still be reduced, from m = 1 and 2 up and at the top of the domain
+    fibs = [fib_exact(n) for n in range(402)]
+    for m in range(1, 65):
+        for n in range(401):
+            assert _fib_pair_ints(n, m) == (fibs[n] % m, fibs[n + 1] % m), (n, m)
+    n = 2**63 - 1  # every bit a 1-bit
+    assert _fib_pair_ints(n, MODULUS_MAX) == every_bit_reduced(n, MODULUS_MAX)
 
 
 def test_fib_pair_matches_independent_matrix_power():

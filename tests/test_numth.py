@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,8 @@ from pisano.numth import (
     U64_MAX,
     DivisorSet,
     Factorization,
+    _sieve_factors,
+    _sieve_primes,
     divisors,
     factorize,
     gcd,
@@ -53,8 +56,13 @@ def trial_factor(n):
     return tuple(out)
 
 
-def naive_divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+def naive_divisor_lists(n):
+    # out[k] lists the divisors of k <= n: each d appended to its multiples
+    out = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for k in range(d, n + 1, d):
+            out[k].append(d)
+    return out
 
 
 def test_primes_up_to_matches_trial_division():
@@ -659,11 +667,29 @@ def test_factorization_from_pairs_validates():
 
 
 def test_divisors_matches_naive():
-    for n in range(2, 500):
-        ds = divisors(factorize(n))
-        assert list(ds) == naive_divisors(n), n
-        assert len(ds) == len(naive_divisors(n))
+    naive = naive_divisor_lists(5000)
+    for n in range(2, 5001):
+        assert divisors(factorize(n)).divisors == tuple(naive[n]), n
     assert list(divisors(Factorization.from_pairs(()))) == [1]
+
+
+def test_divisors_of_2_61_minus_2():
+    # 2^61 - 2 = 2 3^2 5^2 7 11 13 31 41 61 151 331 1321: 9,216 divisors,
+    # every exponent choice multiplied out
+    n = 2**61 - 2
+    f = factorize(n)
+    ds = divisors(f)
+    every = sorted(math.prod(p**k for (p, _), k in zip(f.factors, ks))
+                   for ks in product(*(range(e + 1) for _, e in f.factors)))
+    assert len(ds) == 9216 and ds.source == n
+    assert list(ds) == every
+    assert all(n % d == 0 for d in ds)
+
+
+def test_sieve_primes_are_the_keys_of_sieve_factors():
+    spf = smallest_prime_factors(10**5)
+    for n in range(1, 10**5 + 1):
+        assert _sieve_primes(spf, n) == list(_sieve_factors(spf, n)), n
 
 
 def test_divisor_set_contains():

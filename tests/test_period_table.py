@@ -65,8 +65,10 @@ def lucas_scan_periods(limit):
 
 def reference_table(limit):
     """(period, escalations, method) lists for 0 <= m <= limit from one
-    ascending per-m pass over the sieve, every even m included: the loop
-    period_table ran before it filled the even m by slices."""
+    ascending per-m pass over the sieve, every even m included, each prime's
+    class-bound primes the keys of ``_class_bound``'s dict: the loop
+    period_table ran before it filled the even m by slices and walked the
+    bound's primes as a list."""
     spf = smallest_prime_factors(limit)
     sieve_factors = functools.partial(_sieve_factors, spf)
     period, escalations, method = ([0] * (limit + 1) for _ in range(3))
