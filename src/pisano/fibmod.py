@@ -101,6 +101,21 @@ def _fib_pair_ints(n: int, m: int) -> tuple[int, int]:
     return a, b % m
 
 
+def _lucas_pair_ints(n: int, m: int) -> tuple[int, int]:
+    """(L_n mod m, L_{n+1} mod m) by doubling with two products a bit,
+    L_2k = L_k^2 - 2 (-1)^k and L_2k+1 = L_k L_k+1 - (-1)^k."""
+    if n <= 0:
+        return 2 % m, 1 % m
+    a, b, s = 1 % m, 3 % m, -1  # (L_1, L_2), (-1)^1: the leading bit of n
+    for bit in bin(n)[3:]:
+        c = (a * b - s) % m
+        if bit == "1":
+            a, b, s = c, (b * b + s + s) % m, -1
+        else:
+            a, b, s = (a * a - s - s) % m, c, 1
+    return a, b
+
+
 def fib_pair(n: int, m: int) -> ResiduePair:
     """(F_n mod m, F_{n+1} mod m) in O(log n) multiplications; F_0 = 0, F_1 = 1."""
     _check_modulus(m)

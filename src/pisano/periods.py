@@ -5,12 +5,13 @@ a subgroup h*Z, so h is found by dividing each prime out of a known multiple
 while the pair still returns.  One recipe serves point queries and range
 tables alike: h(p) is divided down from the class bound (2p+2 for
 p = +-2 mod 5, p-1 for p = +-1 mod 5), h(p^e) from p^(e-1) h(p), and prime
-powers compose by lcm.  For every prime but 5 the return test at n is
-L_n = 2 (mod p) with n even, from the Lucas ladder ``numth._lucas_ladder``,
-and for p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because
+powers compose by lcm.  For every prime but 5 the return test at n is, with
+n even, phi^n = 1 by ``pow`` on a root phi of x^2 - x - 1 mod p for split
+p = 3 (mod 4) or 5 (mod 8), else L_n = 2 (mod p) by ``numth._lucas_ladder``;
+for p = +-2 mod 5 the power of 2 in 2p+2 is never divided out, because
 h(p) divides 2p+2 but not p+1.  5 and prime powers test each n by fast
-doubling (``_pair_order``).  The ladder only divides down: one fast
-doubling of (0, 1) checks each result.
+doubling (``_pair_order``).  Those tests only divide down: one Lucas
+doubling, (L_n, L_n+1) = (2, 1), checks each h(p).
 
 The Lucas period h_L(m), the order of (2, 1), needs no search of its own.
 The step T is linear and commutes with T^n, and (2, 1) and T(2, 1) = (1, 3)
@@ -46,6 +47,7 @@ from .fibmod import (  # noqa: F401
     PeriodResult,
     _check_modulus,
     _fib_pair_ints,
+    _lucas_pair_ints,
     lucas_brute_period,
 )
 from .numth import (  # noqa: F401
@@ -154,28 +156,41 @@ def _prime_order(p: int, bound: int, primes) -> int:
     primes ``primes``, ascending: ``_class_bound``'s, or a list off the sieve.
 
     h(5) = 20 comes from ``_pair_order``: x^2 - x - 1 has a double root
-    mod 5, and L_4 = 7 = 2 (mod 5) while h(5) = 20.  Every other p divides
-    down with one test, L_n = 2 (mod p) with n even, from the Lucas ladder,
-    and one fast doubling then checks the result.  An odd n is never a
-    return time of an odd p, since (phi psi)^n = -1; the bound 3 of p = 2
-    is odd, so no ladder runs.  For even n, phi^n psi^n = 1 in GF(p) or
-    GF(p^2), so L_n = phi^n + phi^-n = 2 forces (phi^n - 1)^2 = 0, that is
-    phi^n = psi^n = 1, and with phi != psi that is T^n = I.  Irreducible p:
-    h(p) divides 2p + 2 but not p + 1, so v2(h(p)) = v2(2p + 2) and 2 is
-    never divided out.
+    mod 5, where L_4 = 2 but h(5) = 20.  Every other p tests even n only, as
+    (phi psi)^n = -1 for odd n (p = 2's bound 3 is odd: no test runs), and
+    for even n, psi^n = phi^-n, so T^n = I exactly when phi^n = 1.  Split
+    p = 3 (mod 4) or 5 (mod 8): phi = (1 + r)/2, r = 5^((p+1)/4) or Atkin's
+    5t (10t^2 - 1), t = 10^((p-5)/8) (Cohen, 1.5), checked a root; the test
+    is phi^n = 1 by ``pow``.  Other p: L_n = phi^n + phi^-n = 2, from the
+    Lucas ladder, forces (phi^n - 1)^2 = 0.  One Lucas doubling then checks
+    (L_n, L_n+1) = (2, 1), for p != 5 the (0, 1) return.  Irreducible p:
+    v2(h(p)) = v2(2p + 2), as h(p) | 2p + 2 but not p + 1: 2 never divides out.
     """
     if p % 5 not in (1, 4):
         primes = [q for q in primes if q != 2]
     if p == 5:
         return _pair_order((0, 1), p, bound, primes)
     n = bound
-    for q in primes:
-        while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
-            n //= q
-    if _fib_pair_ints(n, p) != (0, 1):
+    if p % 5 in (1, 4) and p & 7 != 1:
+        if p & 3 == 3:
+            r = pow(5, (p + 1) >> 2, p)
+        else:
+            t = pow(10, (p - 5) >> 3, p)
+            r = 5 * t * (10 * t * t - 1)
+        phi = (1 + r) * ((p + 1) >> 1) % p
+        if (phi * phi - phi - 1) % p:
+            raise ClaimViolationError(f"{phi} is no root of x^2 - x - 1 mod {p}")
+        for q in primes:
+            while n % q == 0 and n // q % 2 == 0 and pow(phi, n // q, p) == 1:
+                n //= q
+    else:
+        for q in primes:
+            while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
+                n //= q
+    if _lucas_pair_ints(n, p) != (2 % p, 1 % p):
         raise ClaimViolationError(
             f"(0, 1) does not return after {n} steps mod {p};"
-            " the ladder test failed (is the input prime?)"
+            " the divide-down test failed (is the input prime?)"
         )
     return n
 

@@ -9,6 +9,7 @@ from pisano.fibmod import (
     PeriodResult,
     ResiduePair,
     _fib_pair_ints,
+    _lucas_pair_ints,
     brute_period,
     fib_exact,
     fib_pair,
@@ -93,6 +94,20 @@ def test_fib_pair_ints_returns_reduced_residues():
             assert _fib_pair_ints(n, m) == (fibs[n] % m, fibs[n + 1] % m), (n, m)
     n = 2**63 - 1  # every bit a 1-bit
     assert _fib_pair_ints(n, MODULUS_MAX) == every_bit_reduced(n, MODULUS_MAX)
+
+
+def test_lucas_pair_ints_matches_lucas_pair():
+    # the two-product Lucas doubling against L_n = 2 F_n+1 - F_n from the
+    # Fibonacci doubling, from m = 1 and 2 up, and at the top of the domain
+    # against the Fibonacci doubling that reduces at every bit
+    for m in range(1, 65):
+        assert _lucas_pair_ints(-1, m) == (2 % m, 1 % m)
+        for n in range(401):
+            assert _lucas_pair_ints(n, m) == lucas_pair(n, m).as_tuple(), (n, m)
+    for n in range(2**63 - 64, 2**63 + 64):
+        a, b = every_bit_reduced(n, MODULUS_MAX)
+        want = ((2 * b - a) % MODULUS_MAX, (2 * a + b) % MODULUS_MAX)
+        assert _lucas_pair_ints(n, MODULUS_MAX) == want, n
 
 
 def test_fib_pair_matches_independent_matrix_power():

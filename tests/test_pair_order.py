@@ -10,7 +10,14 @@ import pytest
 from pisano import periods
 from pisano.errors import ClaimViolationError
 from pisano.fibmod import fib_pair, lucas_pair
-from pisano.numth import MODULUS_MAX, divisors, factorize, is_prime, primes_up_to
+from pisano.numth import (
+    MODULUS_MAX,
+    _lucas_ladder,
+    divisors,
+    factorize,
+    is_prime,
+    primes_up_to,
+)
 from pisano.periods import (
     _class_bound,
     _pair_order,
@@ -33,6 +40,21 @@ def divisor_search_period(p: int) -> int:
         if fib_pair(d, p).as_tuple() == (0, 1):
             return d
     raise AssertionError(f"no divisor of {bound} is a period of {p}")
+
+
+def ladder_prime_order(p: int, bound: int, primes) -> int:
+    """Reference h(p) for p != 5: ``primes`` divided out of ``bound`` by the
+    Lucas ladder's test L_n = 2 at even n for every class of prime, closed
+    by a fast doubling of (0, 1) (the loop _prime_order ran before the
+    split primes p = 3 (mod 4) and 5 (mod 8) took their test from pow)."""
+    if p % 5 not in (1, 4):
+        primes = [q for q in primes if q != 2]
+    n = bound
+    for q in primes:
+        while n % q == 0 and n // q % 2 == 0 and _lucas_ladder(n // q // 2, p)[0] == 2:
+            n //= q
+    assert fib_pair(n, p).as_tuple() == (0, 1), p
+    return n
 
 
 def union_search_lucas_period(m: int) -> int:
@@ -84,8 +106,8 @@ def test_lift_escalations_count_factors_of_p_divided_out(wall_sun_sun_seven):
 
 
 def test_prime_order_checks_a_split_result_by_fast_doubling():
-    # 5 is no return time mod 11 (h(11) = 10); the ladder only divides
-    # down, so the final fast doubling must catch the bad bound
+    # 5 is no return time mod 11 (h(11) = 10); the pow test only divides
+    # down, so the closing Lucas doubling must catch the bad bound
     with pytest.raises(ClaimViolationError, match="does not return after 5 steps mod 11"):
         _prime_order(11, 5, (5,))
     assert _prime_order(11, 10, (2, 5)) == 10
@@ -93,7 +115,7 @@ def test_prime_order_checks_a_split_result_by_fast_doubling():
 
 def test_prime_order_checks_an_irreducible_result_by_fast_doubling():
     # h(7) = 16: 8 is no return time, and with no primes to divide out the
-    # ladder never runs, so the final fast doubling must catch the bound
+    # ladder never runs, so the closing Lucas doubling must catch the bound
     with pytest.raises(ClaimViolationError, match="does not return after 8 steps mod 7"):
         _prime_order(7, 8, ())
     assert _prime_order(7, 16 * 3, (2, 3)) == 16
@@ -180,3 +202,48 @@ def test_lucas_period_matches_union_search_at_64_bits():
             m = 5**a * k
             assert low <= m < high
             assert lucas_period(m).period == union_search_lucas_period(m), m
+
+
+def test_prime_order_matches_the_ladder_loop_below_1e5():
+    # 3,604 of the 9,592 primes below 10^5 are split with p = 3 (mod 4) or
+    # p = 5 (mod 8), and take their test from pow; the rest, 5 aside, keep
+    # the ladder
+    factors_of = lambda n: dict(factorize(n).factors)  # noqa: E731
+    primes = [p for p in primes_up_to(10**5) if p != 5]
+    assert sum(p % 5 in (1, 4) and p % 8 != 1 for p in primes) == 3604
+    for p in primes:
+        bound, factors = _class_bound(p, factors_of)
+        assert _prime_order(p, bound, factors) == ladder_prime_order(p, bound, factors), p
+
+
+def _heavy_split_prime(rng: random.Random, twos: int) -> int:
+    """A 62-bit split prime p with p - 1 = 2^twos times odd primes below 50,
+    so its class bound has hundreds of divisors."""
+    odd = [q for q in primes_up_to(50) if q > 2]
+    while True:
+        n = 1 << twos
+        while n < 2**61:
+            n *= rng.choice(odd)
+        if n < 2**62 and (n + 1) % 5 in (1, 4) and is_prime(n + 1):
+            return n + 1
+
+
+# the split classes by root: pow(5, (p+1)/4) for p = 3 (mod 4), Atkin's
+# formula for p = 5 (mod 8), the Lucas ladder for p = 1 (mod 8); p - 1 holds
+# 2 once, twice, or three or more times
+@pytest.mark.parametrize("mod, residue, twos", [(4, 3, 1), (8, 5, 2), (8, 1, 3)],
+                         ids=["3-mod-4", "5-mod-8", "1-mod-8"])
+def test_prime_period_matches_the_pair_order_recipe_at_62_bits(mod, residue, twos):
+    rng = random.Random(1000 * mod + residue)
+    primes = []
+    while len(primes) < 100:
+        p = rng.randrange(2**61, 2**62) // mod * mod + residue
+        if p % 5 in (1, 4) and is_prime(p):
+            primes.append(p)
+    primes += [_heavy_split_prime(rng, twos) for _ in range(5)]
+    primes += [p for p in SPLIT_EXTRAS if p % mod == residue]
+    assert all(p % mod == residue for p in primes)
+    factors_of = lambda n: dict(factorize(n).factors)  # noqa: E731
+    for p in primes:
+        h = _pair_order((0, 1), p, *_class_bound(p, factors_of))
+        assert prime_period(p).period == h, p

@@ -65,10 +65,11 @@ def lucas_scan_periods(limit):
 
 def reference_table(limit):
     """(period, escalations, method) lists for 0 <= m <= limit from one
-    ascending per-m pass over the sieve, every even m included, each prime's
-    class-bound primes the keys of ``_class_bound``'s dict: the loop
+    ascending per-m pass over the sieve, every even m included: the loop
     period_table ran before it filled the even m by slices and walked the
-    bound's primes as a list."""
+    bound's primes as a list.  Each prime's h(p) comes from the fast-doubling
+    recipe, ``_pair_order`` from the class bound by the keys of
+    ``_class_bound``'s dict, not from the table's kernel ``_prime_order``."""
     spf = smallest_prime_factors(limit)
     sieve_factors = functools.partial(_sieve_factors, spf)
     period, escalations, method = ([0] * (limit + 1) for _ in range(3))
@@ -77,7 +78,7 @@ def reference_table(limit):
     for m in range(2, limit + 1):
         p = spf[m]
         if not p:
-            h = periods._prime_order(m, *_class_bound(m, sieve_factors))
+            h = _pair_order((0, 1), m, *_class_bound(m, sieve_factors))
             method[m] = 1
         elif (rest := m // p) % p:
             h = math.lcm(period[p], period[rest])
@@ -195,18 +196,41 @@ def test_period_table_primes_match_the_pair_order_recipe():
         assert table.period[p] == _pair_order((0, 1), p, *_class_bound(p, factors_of)), p
 
 
-@pytest.mark.parametrize("p", [101, 103], ids=["split", "irreducible"])
-def test_a_lying_ladder_is_a_claim_violation(monkeypatch, p):
-    # a ladder that reports L = 2 at every index mod p divides h(p) down too
-    # far; only the closing fast doubling can tell
-    real = periods._lucas_ladder
-    monkeypatch.setattr(periods, "_lucas_ladder",
-                        lambda j, m: (2, 3) if m == p else real(j, m))
+# 41 = 1 (mod 8) and 103 = 3 (mod 5) take the ladder's test, and 11 = 3
+# (mod 4) and 101 = 5 (mod 8) the test phi^n = 1 by pow
+@pytest.mark.parametrize("name, p", [("_lucas_ladder", 41), ("_lucas_ladder", 103),
+                                     ("pow", 11), ("pow", 101)],
+                         ids=["split", "irreducible", "split-pow-11", "split-pow-101"])
+def test_a_lying_ladder_is_a_claim_violation(monkeypatch, name, p):
+    # a ladder that reports L = 2 at every index mod p, or a pow that reports
+    # phi^n = 1 at every n for a root phi of x^2 - x - 1 mod p, divides h(p)
+    # down too far; only the closing Lucas doubling can tell
+    if name == "pow":
+        lie = lambda b, e, m: 1 if m == p and (b * b - b - 1) % m == 0 else pow(b, e, m)  # noqa: E731
+        monkeypatch.setattr(periods, "pow", lie, raising=False)
+    else:
+        real = periods._lucas_ladder
+        monkeypatch.setattr(periods, name, lambda j, m: (2, 3) if m == p else real(j, m))
     for run in (lambda: prime_period(p), lambda: period_table(200)):
-        with pytest.raises(ClaimViolationError, match=f"does not return after .* mod {p}"):
+        with pytest.raises(ClaimViolationError, match=f"does not return after .* mod {p};"):
             run()
-    assert prime_period(89).period == 44
-    assert period_table(100).period[89] == 44
+    # below p, and at the other primes of each test, nothing changes
+    assert table_lists(period_table(p - 1)) == reference_table(p - 1)
+    assert [prime_period(q).period for q in (19, 29, 89)] == [18, 14, 44]
+
+
+@pytest.mark.parametrize("p", [11, 101], ids=["3-mod-4", "5-mod-8"])
+def test_a_wrong_square_root_of_five_is_a_claim_violation(monkeypatch, p):
+    # r^2 = 5 comes from pow(5, (p+1)/4) for p = 3 (mod 4) and from Atkin's
+    # t = pow(10, (p-5)/8) for p = 5 (mod 8); one of them off by one leaves
+    # phi = (1 + r)/2 no root, which the root check must report
+    wrong = lambda b, e, m: (pow(b, e, m) + (m == p and b in (5, 10))) % m  # noqa: E731
+    monkeypatch.setattr(periods, "pow", wrong, raising=False)
+    for run in (lambda: prime_period(p), lambda: period_table(200)):
+        with pytest.raises(ClaimViolationError, match=f"is no root of x\\^2 - x - 1 mod {p}$"):
+            run()
+    assert table_lists(period_table(p - 1)) == reference_table(p - 1)
+    assert [prime_period(q).period for q in (19, 29, 89)] == [18, 14, 44]
 
 
 def test_period_table_stores_4_byte_periods_and_a_2_byte_sieve():
